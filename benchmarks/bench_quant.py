@@ -13,10 +13,9 @@ integer low-bit runtime (``repro.quant.runtime``) and writes
   is flagged in the JSON and fails the run;
 * **accuracy** — measured top-1 drop under true integer execution vs
   the user budget;
-* **bit-identity** — reference vs fast backends (and numba when
-  installed), packed vs unpacked activations, and batched
-  ``forward_from_many`` vs sequential ``forward``, all compared with
-  exact array equality.
+* **bit-identity** — reference vs fast backends, packed vs unpacked
+  activations, and batched ``forward_from_many`` vs sequential
+  ``forward``, all compared with exact array equality.
 
 The script exits non-zero on any bit-identity violation, traffic
 divergence beyond tolerance, or accuracy-budget violation — CI runs it
@@ -28,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -45,7 +45,6 @@ from repro.quant.runtime import (  # noqa: E402
     QuantizedNetwork,
     RuntimeSpec,
     build_quantized_network,
-    numba_available,
 )
 
 SEED = 20190325
@@ -76,9 +75,7 @@ def check_bit_identity(
 ) -> Dict[str, bool]:
     """Exact-equality checks across backends, packing, and batching."""
     outputs = {}
-    for backend in ("reference", "fast") + (
-        ("numba",) if numba_available() else ()
-    ):
+    for backend in ("reference", "fast"):
         net = QuantizedNetwork(
             context.network, allocation, RuntimeSpec(backend=backend)
         )
@@ -101,8 +98,6 @@ def check_bit_identity(
         "packed_vs_unpacked": np.array_equal(outputs["fast"], unpacked),
         "batched_vs_sequential": np.array_equal(stacked, sequential),
     }
-    if numba_available():
-        checks["numba_present"] = True
     return checks
 
 
@@ -287,7 +282,7 @@ def main(argv=None) -> int:
     payload = {
         "benchmark": "quantized-runtime",
         "traffic_tolerance": args.traffic_tolerance,
-        "numba_available": numba_available(),
+        "cpu_count": os.cpu_count(),
         "models": results,
         "passed": passed,
     }

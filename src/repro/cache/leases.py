@@ -209,6 +209,12 @@ def steal_expired_lease(
     number of workers that concurrently observed the expiry, exactly
     one rename succeeds.  The winner unlinks the tomb and acquires a
     fresh lease; losers (``FileNotFoundError``) return None and rescan.
+
+    A loser whose expiry check ran before the winner's rename can still
+    rename *after* the winner re-acquired, moving the winner's fresh
+    lease into its tomb.  The tomb's mtime tells: a tomb that is not
+    expired is linked back (``os.link`` never replaces an existing
+    file) and the loser returns None.
     """
     settings = settings or LeaseSettings()
     path = Path(path)
@@ -221,6 +227,16 @@ def steal_expired_lease(
         os.rename(path, tomb)
     except OSError:
         return None  # another stealer won, or the holder released
+    if not lease_is_expired(tomb, settings):
+        try:
+            os.link(tomb, path)
+        except OSError:
+            pass  # someone claimed the path meanwhile; theirs stands
+        try:
+            os.unlink(tomb)
+        except OSError:
+            pass
+        return None
     try:
         os.unlink(tomb)
     except OSError:

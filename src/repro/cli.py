@@ -744,9 +744,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--backend",
-        choices=["reference", "fast", "numba"],
+        choices=["reference", "fast"],
         default="fast",
-        help="integer-GEMM backend (bit-identical; numba needs numba)",
+        help="integer-GEMM backend (bit-identical)",
     )
     p.add_argument(
         "--no-pack",

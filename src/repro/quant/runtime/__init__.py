@@ -10,8 +10,8 @@ from .kernels import (
     FLOAT64_EXACT_BOUND,
     accumulation_bound,
     check_accumulator,
+    float64_exact,
     integer_gemm,
-    numba_available,
     requantize,
 )
 from .network import (
@@ -53,9 +53,9 @@ __all__ = [
     "check_accumulator",
     "code_bounds",
     "codes_to_values",
+    "float64_exact",
     "integer_gemm",
     "load_packed_weights",
-    "numba_available",
     "pack_codes",
     "packed_nbytes",
     "packed_weights_key",

@@ -6,12 +6,12 @@ weights as ``B_w``-bit codes, and the accumulator holds the *exact*
 integer ``sum_i qw_i * qx_i`` — the value the fixed-point hardware the
 paper targets would compute, at scale ``2**-(F_x + F_w)``.
 
-Three backends, all bit-identical (integer arithmetic has no rounding,
-so any summation order gives the same accumulator):
+Two backends, bit-identical (integer arithmetic has no rounding, so
+any summation order gives the same accumulator):
 
 ``reference``
     Plain ``np.matmul`` over int64 operands.  Slow but unarguable; the
-    other backends are tested against it element-for-element.
+    fast backend is tested against it element-for-element.
 ``fast``
     Routes the product through float64 BLAS.  Exact — not approximately
     equal — whenever every partial sum stays below ``2**53``: int16-ish
@@ -21,10 +21,6 @@ so any summation order gives the same accumulator):
     below ``2**53`` are represented exactly in float64 and their sums
     are computed exactly, so BLAS's reduction-order freedom cannot
     change a single bit.
-``numba``
-    Compiled int32-accumulator kernels (int16 operands), the layout an
-    edge DSP would run.  Optional: the import is deferred and gated, so
-    environments without numba simply cannot select it.
 
 Overflow is a hard error, never silent wrap: each layer's worst-case
 accumulation bound is computed at plan-build time and checked against
@@ -33,23 +29,17 @@ the backend's accumulator width.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 import numpy as np
 
 from ...errors import QuantizationError
+from .spec import RUNTIME_BACKENDS
 
 #: Largest integer float64 represents exactly; the fast backend's
 #: accumulation bound must stay strictly below it.
 FLOAT64_EXACT_BOUND = 1 << 53
 
-#: int64 accumulation bound (reference backend).
+#: int64 accumulation bound (every backend's accumulator width).
 INT64_BOUND = 1 << 62
-
-#: int32 accumulation bound (numba backend's accumulator width).
-INT32_BOUND = 1 << 31
-
-_NUMBA_GEMM: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
 
 def accumulation_bound(
@@ -63,82 +53,58 @@ def accumulation_bound(
 
 def check_accumulator(bound: int, backend: str) -> None:
     """Reject plans whose accumulators could overflow the backend."""
-    limit = {
-        "reference": INT64_BOUND,
-        "fast": INT64_BOUND,
-        "numba": INT32_BOUND,
-    }.get(backend)
-    if limit is None:
+    if backend not in RUNTIME_BACKENDS:
         raise QuantizationError(f"unknown integer-GEMM backend {backend!r}")
-    if bound >= limit:
+    if bound >= INT64_BOUND:
         raise QuantizationError(
             f"accumulation bound {bound} overflows the {backend!r} "
-            f"backend's accumulator (limit {limit}); use wider "
+            f"backend's accumulator (limit {INT64_BOUND}); use wider "
             "accumulators or narrower formats"
         )
 
 
-def numba_available() -> bool:
-    """True when the optional compiled backend can be used."""
-    try:  # pragma: no cover - exercised only where numba is installed
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
+def float64_exact(backend: str, bound: int) -> bool:
+    """Whether ``backend`` runs a ``bound``-limited GEMM in float64.
 
-
-def _numba_gemm() -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Lazily compile the int16 x int16 -> int32 accumulator kernel."""
-    global _NUMBA_GEMM
-    if _NUMBA_GEMM is None:  # pragma: no cover - needs numba installed
-        try:
-            from numba import njit
-        except ImportError as exc:
-            raise QuantizationError(
-                'backend "numba" requested but numba is not installed; '
-                'use backend "fast" or "reference"'
-            ) from exc
-
-        @njit(cache=True)
-        def gemm_i16(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            m, k = a.shape
-            k2, n = b.shape
-            out = np.zeros((m, n), dtype=np.int32)
-            for i in range(m):
-                for p in range(k):
-                    a_ip = np.int32(a[i, p])
-                    for j in range(n):
-                        out[i, j] += a_ip * np.int32(b[p, j])
-            return out
-
-        _NUMBA_GEMM = gemm_i16
-    return _NUMBA_GEMM
+    True for the fast backend inside the exactness envelope: every
+    operand, product and partial sum is then an integer below
+    ``2**53``, which float64 holds and adds without rounding.
+    """
+    return backend == "fast" and bound < FLOAT64_EXACT_BOUND
 
 
 def integer_gemm(
-    a: np.ndarray, b: np.ndarray, backend: str, bound: int
+    a: np.ndarray,
+    b: np.ndarray,
+    backend: str,
+    bound: int,
+    *,
+    float_accumulator: bool = False,
 ) -> np.ndarray:
     """Exact integer product ``a @ b`` (int64 result) via ``backend``.
 
-    ``a`` and ``b`` are integer code matrices (any integer dtype);
-    ``bound`` is the precomputed worst-case accumulator magnitude used
-    to pick/validate the execution path.
+    ``a`` and ``b`` are integer code matrices (any integer dtype, or
+    float64 holding integers); ``bound`` is the precomputed worst-case
+    accumulator magnitude used to pick/validate the execution path.
+
+    ``float_accumulator=True`` returns the fast backend's float64
+    accumulator as is — every entry an exact integer — when
+    :func:`float64_exact` holds, saving the int64 round-trip for
+    callers that go on in float64 anyway.  Outside the envelope the
+    result is int64 either way.
     """
     check_accumulator(bound, backend)
-    if backend == "fast" and bound < FLOAT64_EXACT_BOUND:
+    if float64_exact(backend, bound):
         # Every operand and every partial sum is an integer below
         # 2**53: float64 represents and adds them exactly, so BLAS
         # gives the same bits as the int64 loop, only much faster.
-        out = np.matmul(a.astype(np.float64), b.astype(np.float64))
-        return np.rint(out).astype(np.int64)
-    if backend == "numba":  # pragma: no cover - needs numba installed
-        gemm = _numba_gemm()
-        out32 = gemm(
-            np.ascontiguousarray(a, dtype=np.int16),
-            np.ascontiguousarray(b, dtype=np.int16),
+        out = np.matmul(
+            np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
         )
-        return out32.astype(np.int64)
-    return np.matmul(a.astype(np.int64), b.astype(np.int64))
+        return out if float_accumulator else out.astype(np.int64)
+    return np.matmul(
+        np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    )
 
 
 def requantize(acc: np.ndarray, shift: int) -> np.ndarray:
@@ -148,6 +114,7 @@ def requantize(acc: np.ndarray, shift: int) -> np.ndarray:
     conversion is exact whenever the accumulator magnitude stays below
     ``2**53`` (true for every model-zoo allocation); past that the
     int64 -> float64 cast rounds to nearest — identically for every
-    backend, so cross-backend bit-identity is unaffected.
+    backend, so cross-backend bit-identity is unaffected.  A float64
+    accumulator (exact integers) is scaled without a copy.
     """
-    return np.ldexp(acc.astype(np.float64), -shift)
+    return np.ldexp(np.asarray(acc, dtype=np.float64), -shift)

@@ -20,13 +20,20 @@ optimized per-layer ``(I, F)`` formats end to end:
   non-dot-product operations in full precision.
 
 Bit-identity contract: the integer path is deterministic and exact, so
-results are bit-identical across backends (``reference``/``fast``/
-``numba``), across ``forward`` vs :meth:`forward_from_many` batching,
+results are bit-identical across backends (``reference``/``fast``),
+across ``forward`` vs :meth:`forward_from_many` batching,
 and across engine ``--jobs`` settings (which never touch this path).
 For *unquantized* GEMM layers inside a batched call, the batch is
 sliced back to per-trial GEMM shapes — the same shape-stability trick
 as :mod:`repro.engine.kernels` — so batching stays bitwise faithful
 even for layers the allocation does not cover.
+
+Operand dtype: inside the fast backend's exactness envelope
+(:func:`~repro.quant.runtime.kernels.float64_exact`) the unpacked codes
+travel as float64 through im2col, the GEMM, the bias add and
+requantization.  Every value on that path is an integer below
+``2**53``, so float64 carries it exactly and the results keep the same
+bits as the int64 path the ``reference`` backend runs.
 """
 
 from __future__ import annotations
@@ -45,7 +52,12 @@ from ...nn.layers.dense import Dense
 from ...nn.tensor import extract_windows, flatten_spatial, im2col
 from ..allocation import BitwidthAllocation
 from ..fixed_point import FixedPointFormat, integer_bits_for_range
-from .kernels import accumulation_bound, integer_gemm, requantize
+from .kernels import (
+    accumulation_bound,
+    float64_exact,
+    integer_gemm,
+    requantize,
+)
 from .packing import (
     PackedTensor,
     codes_to_values,
@@ -69,12 +81,16 @@ class QuantizedLayerPlan:
     packed_weight: PackedTensor
     #: Unpacked weight codes, kept hot for the GEMM (int64).
     weight_codes: np.ndarray
-    #: Bias codes at accumulator scale ``2**-shift`` (int64), or None.
+    #: Bias codes at accumulator scale ``2**-shift`` in the GEMM
+    #: operand dtype (see ``weight_operand``), or None.
     bias_codes: Optional[np.ndarray]
     #: Requantization shift ``F_x + F_w``.
     shift: int
     #: Worst-case accumulator magnitude (overflow guard + backend gate).
     bound: int
+    #: ``weight_codes`` in the GEMM operand dtype: float64 (exact
+    #: integers) when :func:`float64_exact` holds, else the int64 codes.
+    weight_operand: np.ndarray
 
 
 def _runtime_format(
@@ -162,15 +178,17 @@ def build_layer_plan(
         )
         + bias_peak
     )
+    dtype = np.float64 if float64_exact(spec.backend, bound) else np.int64
     return QuantizedLayerPlan(
         name=layer.name,
         activation_format=act_fmt,
         weight_format=w_fmt,
         packed_weight=packed_weight,
         weight_codes=w_codes,
-        bias_codes=bias_codes,
+        bias_codes=None if bias_codes is None else np.asarray(bias_codes, dtype=dtype),
         shift=shift,
         bound=bound,
+        weight_operand=np.asarray(w_codes, dtype=dtype),
     )
 
 
@@ -362,22 +380,26 @@ class QuantizedNetwork:
         self, layer: Layer, plan: QuantizedLayerPlan, x: np.ndarray
     ) -> np.ndarray:
         codes = self._quantize_input(plan, x)
+        operands = np.asarray(codes, dtype=plan.weight_operand.dtype)
         if isinstance(layer, Conv2D):
-            acc = self._int_conv(layer, plan, codes)
+            acc = self._int_conv(layer, plan, operands)
         else:
-            acc = self._int_dense(layer, plan, codes)
+            acc = self._int_dense(layer, plan, operands)
         return requantize(acc, plan.shift)
 
     def _int_dense(
         self, layer: Layer, plan: QuantizedLayerPlan, codes: np.ndarray
     ) -> np.ndarray:
         assert isinstance(layer, Dense)
-        flat = flatten_spatial(codes)
         acc = integer_gemm(
-            flat, plan.weight_codes.T, self.spec.backend, plan.bound
+            flatten_spatial(codes),
+            plan.weight_operand.T,
+            self.spec.backend,
+            plan.bound,
+            float_accumulator=True,
         )
         if plan.bias_codes is not None:
-            acc = acc + plan.bias_codes
+            acc += plan.bias_codes
         return acc
 
     def _int_conv(
@@ -387,64 +409,40 @@ class QuantizedNetwork:
         n = codes.shape[0]
         out_c, out_h, out_w = layer.output_shape
         positions = out_h * out_w
-        w_codes = plan.weight_codes
+        w_codes = plan.weight_operand
         if layer.groups == codes.shape[1] and w_codes.shape[1] == 1:
-            # Depthwise: per-channel window dot products.  Integer
-            # einsum is exact, so it is its own fast path.
+            # Depthwise: per-channel window dot products.  Every term
+            # and partial sum is an exact integer in either dtype, so
+            # einsum is its own fast path.
             windows = extract_windows(
                 codes, layer.kernel, layer.stride, layer.padding
             )
-            acc = np.einsum(
-                "nchwij,cij->nchw",
-                windows.astype(np.int64),
-                w_codes[:, 0, :, :],
-            )
-        elif layer.groups == 1:
-            cols = im2col(codes, layer.kernel, layer.stride, layer.padding)
+            acc = np.einsum("nchwij,cij->nchw", windows, w_codes[:, 0, :, :])
+            if plan.bias_codes is not None:
+                acc += plan.bias_codes[None, :, None, None]
+            return acc
+        per_group = out_c // layer.groups
+        in_per_group = w_codes.shape[1]
+        acc = np.empty((n, out_c, positions), dtype=w_codes.dtype)
+        for g in range(layer.groups):
+            x_g = codes[:, g * in_per_group : (g + 1) * in_per_group]
+            cols = im2col(x_g, layer.kernel, layer.stride, layer.padding)
             fused = cols.transpose(1, 0, 2).reshape(
                 cols.shape[1], n * positions
             )
+            out_slice = slice(g * per_group, (g + 1) * per_group)
             flat = integer_gemm(
-                w_codes.reshape(out_c, -1),
+                w_codes[out_slice].reshape(per_group, -1),
                 fused,
                 self.spec.backend,
                 plan.bound,
+                float_accumulator=True,
             )
-            acc = np.ascontiguousarray(
-                flat.reshape(out_c, n, positions).transpose(1, 0, 2)
-            ).reshape(n, out_c, out_h, out_w)
-        else:
-            in_per_group = w_codes.shape[1]
-            out_per_group = out_c // layer.groups
-            acc = np.empty(
-                (n, out_c, out_h, out_w), dtype=np.int64
+            if plan.bias_codes is not None:
+                flat += plan.bias_codes[out_slice, None]
+            acc[:, out_slice] = flat.reshape(per_group, n, positions).transpose(
+                1, 0, 2
             )
-            for g in range(layer.groups):
-                x_g = codes[:, g * in_per_group : (g + 1) * in_per_group]
-                cols = im2col(
-                    x_g, layer.kernel, layer.stride, layer.padding
-                )
-                fused = cols.transpose(1, 0, 2).reshape(
-                    cols.shape[1], n * positions
-                )
-                flat = integer_gemm(
-                    w_codes[
-                        g * out_per_group : (g + 1) * out_per_group
-                    ].reshape(out_per_group, -1),
-                    fused,
-                    self.spec.backend,
-                    plan.bound,
-                )
-                acc[:, g * out_per_group : (g + 1) * out_per_group] = (
-                    np.ascontiguousarray(
-                        flat.reshape(
-                            out_per_group, n, positions
-                        ).transpose(1, 0, 2)
-                    ).reshape(n, out_per_group, out_h, out_w)
-                )
-            acc = acc.reshape(n, out_c, out_h, out_w)
-        if plan.bias_codes is not None:
-            acc = acc + plan.bias_codes[None, :, None, None]
         return acc.reshape(n, out_c, out_h, out_w)
 
     def dequantized_weight(self, name: str) -> np.ndarray:

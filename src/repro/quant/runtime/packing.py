@@ -47,8 +47,11 @@ def quantize_to_codes(x: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
     bounds, and the final power-of-two scaling is exact in float64.
     """
     lo, hi = code_bounds(fmt.total_bits)
-    scaled = np.ldexp(np.asarray(x, dtype=np.float64), fmt.fraction_bits)
-    return np.clip(np.round(scaled), lo, hi).astype(np.int64)
+    x = np.asarray(x, dtype=np.float64)
+    scaled = np.ldexp(x, fmt.fraction_bits, out=np.empty_like(x))
+    np.round(scaled, out=scaled)
+    np.clip(scaled, lo, hi, out=scaled)
+    return scaled.astype(np.int64)
 
 
 def codes_to_values(codes: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
@@ -62,41 +65,75 @@ def pack_codes(codes: np.ndarray, bits: int) -> np.ndarray:
     Codes must already fit in ``bits`` bits (as produced by
     :func:`quantize_to_codes`); out-of-range codes raise rather than
     silently wrapping.
+
+    Word-parallel: eight ``bits``-wide codes fill exactly ``bits``
+    bytes.  Each 8-code group is folded pairwise into ``uint64`` lanes
+    (two codes per lane, then four, ... while a lane stays within 64
+    bits), the lanes are ORed into ``ceil(bits / 8)`` little-endian
+    words, and the first ``bits`` bytes of those words are the group's
+    packed bytes.
     """
     lo, hi = code_bounds(bits)
-    flat = np.ascontiguousarray(codes, dtype=np.int64).reshape(-1)
-    if flat.size and (int(flat.min()) < lo or int(flat.max()) > hi):
+    flat = np.asarray(codes, dtype=np.int64).reshape(-1)
+    count = flat.size
+    if count and (int(flat.min()) < lo or int(flat.max()) > hi):
         raise QuantizationError(
             f"codes outside the {bits}-bit range [{lo}, {hi}] cannot be "
             "packed losslessly"
         )
-    unsigned = (flat & ((1 << bits) - 1)).astype(np.uint64)
-    lanes = np.arange(bits, dtype=np.uint64)
-    bit_matrix = ((unsigned[:, None] >> lanes) & 1).astype(np.uint8)
-    return np.packbits(bit_matrix.reshape(-1), bitorder="little")
+    groups = -(-count // 8)
+    lanes = np.zeros(groups * 8, dtype=np.uint64)
+    np.bitwise_and(flat, (1 << bits) - 1, out=lanes[:count], casting="unsafe")
+    lanes = lanes.reshape(groups, 8)
+    width = bits
+    while lanes.shape[1] > 1 and 2 * width <= 64:
+        lanes = lanes[:, 0::2] | (lanes[:, 1::2] << np.uint64(width))
+        width *= 2
+    words = np.zeros((groups, -(-bits // 8)), dtype=np.uint64)
+    for k in range(lanes.shape[1]):
+        word, shift = divmod(k * width, 64)
+        words[:, word] |= lanes[:, k] << np.uint64(shift)
+        if shift + width > 64:  # the lane straddles two words
+            words[:, word + 1] |= lanes[:, k] >> np.uint64(64 - shift)
+    group_bytes = words.view(np.uint8)[:, :bits]
+    return group_bytes.reshape(-1)[: packed_nbytes(count, bits)]
 
 
 def unpack_codes(packed: np.ndarray, bits: int, count: int) -> np.ndarray:
-    """Recover ``count`` signed codes from a packed stream (int64)."""
+    """Recover ``count`` signed codes from a packed stream (int64).
+
+    Word-parallel: code ``j`` of every 8-code group starts at byte
+    ``(j * bits) // 8`` of its ``bits``-byte group, bit
+    ``(j * bits) % 8``.  A strided view reads one overlapping
+    little-endian ``uint64`` at every byte of a zero-padded copy of
+    the stream; gathering the eight constant offsets, shifting, masking
+    and sign-extending decodes all groups at once.
+    """
     code_bounds(bits)  # validates the width
     total = count * bits
-    if packed.size * 8 < total:
+    stream = np.asarray(packed, dtype=np.uint8).reshape(-1)
+    if stream.size * 8 < total:
         raise QuantizationError(
-            f"packed stream holds {packed.size * 8} bits; "
+            f"packed stream holds {stream.size * 8} bits; "
             f"{total} required for {count} x {bits}-bit codes"
         )
-    lanes = np.unpackbits(
-        np.ascontiguousarray(packed, dtype=np.uint8),
-        count=total,
-        bitorder="little",
-    ).reshape(count, bits)
-    weights = np.uint64(1) << np.arange(bits, dtype=np.uint64)
-    unsigned = (lanes.astype(np.uint64) * weights).sum(
-        axis=1, dtype=np.uint64
-    ).astype(np.int64)
+    groups = -(-count // 8)
+    # Seven spare bytes keep the last group's 8-byte reads in bounds.
+    padded = np.zeros(groups * bits + 7, dtype=np.uint8)
+    needed = packed_nbytes(count, bits)
+    padded[:needed] = stream[:needed]
+    windows = np.ndarray(
+        (groups, bits), dtype="<u8", buffer=padded, strides=(bits, 1)
+    )
+    starts = np.arange(8) * bits
+    lanes = windows[:, starts // 8]
+    lanes >>= (starts % 8).astype(np.uint64)
+    lanes &= np.uint64((1 << bits) - 1)
+    codes = lanes.view(np.int64).reshape(-1)[:count]
     sign_bit = np.int64(1 << (bits - 1))
-    wrap = np.int64(1 << bits)  # bits <= 32, so this fits comfortably
-    return np.where(unsigned & sign_bit, unsigned - wrap, unsigned)
+    codes ^= sign_bit  # two's-complement sign extension:
+    codes -= sign_bit  # (u ^ s) - s sends [2**(B-1), 2**B) below zero
+    return codes
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 from ...errors import QuantizationError
 
-#: Integer-GEMM backends the runtime can execute with.  All three are
+#: Integer-GEMM backends the runtime can execute with.  Both are
 #: bit-identical (integer arithmetic is exact; the fast backend routes
 #: through float64 BLAS only inside a proven-exact operand range).
-RUNTIME_BACKENDS = ("reference", "fast", "numba")
+RUNTIME_BACKENDS = ("reference", "fast")
 
 
 @dataclass(frozen=True)
@@ -31,9 +31,8 @@ class RuntimeSpec:
     #: in int16 and makes weight rounding negligible next to the
     #: optimized activation formats.
     weight_bits: int = 16
-    #: Integer-GEMM backend: ``reference`` (int64 numpy matmul),
-    #: ``fast`` (float64 BLAS inside the exactness envelope), or
-    #: ``numba`` (compiled int32-accumulator kernels; requires numba).
+    #: Integer-GEMM backend: ``reference`` (int64 numpy matmul) or
+    #: ``fast`` (float64 BLAS inside the exactness envelope).
     backend: str = "fast"
     #: Move analyzed-layer activations through their bit-packed buffers
     #: on the hot path (real packed bytes are counted as measured

@@ -6,10 +6,11 @@ import pytest
 from repro.errors import QuantizationError
 from repro.quant.runtime import (
     FLOAT64_EXACT_BOUND,
+    RuntimeSpec,
     accumulation_bound,
     check_accumulator,
+    float64_exact,
     integer_gemm,
-    numba_available,
     requantize,
 )
 
@@ -29,15 +30,17 @@ class TestAccumulationBound:
             accumulation_bound(0, 8, 8)
 
     def test_check_rejects_overflow(self):
-        with pytest.raises(QuantizationError):
-            check_accumulator(1 << 62, "reference")
-        with pytest.raises(QuantizationError):
-            check_accumulator(1 << 31, "numba")
-        check_accumulator((1 << 31) - 1, "numba")
+        for backend in ("reference", "fast"):
+            with pytest.raises(QuantizationError):
+                check_accumulator(1 << 62, backend)
+            check_accumulator((1 << 62) - 1, backend)
 
     def test_check_rejects_unknown_backend(self):
-        with pytest.raises(QuantizationError):
-            check_accumulator(1, "cuda")
+        for backend in ("cuda", "numba"):  # numba was a backend once
+            with pytest.raises(QuantizationError):
+                check_accumulator(1, backend)
+            with pytest.raises(QuantizationError):
+                RuntimeSpec(backend=backend)
 
 
 class TestIntegerGemm:
@@ -63,17 +66,36 @@ class TestIntegerGemm:
         fast = integer_gemm(a, b, "fast", huge_bound)
         np.testing.assert_array_equal(ref, fast)
 
-    def test_numba_backend_gated_when_missing(self):
+    def test_float_accumulator_inside_envelope(self):
+        """The network's float64 path: same integers, no int64 copy."""
+        rng = np.random.default_rng(17)
+        a = random_codes(rng, (6, 40), 13)
+        b = random_codes(rng, (40, 5), 16)
+        bound = accumulation_bound(40, 13, 16)
+        assert float64_exact("fast", bound)
+        ref = integer_gemm(a, b, "reference", bound)
+        acc = integer_gemm(
+            a.astype(np.float64), b.astype(np.float64), "fast", bound,
+            float_accumulator=True,
+        )
+        assert acc.dtype == np.float64
+        np.testing.assert_array_equal(acc, ref)
+
+    def test_float_accumulator_is_int64_outside_envelope(self):
         a = np.ones((2, 2), dtype=np.int64)
-        if numba_available():
-            out = integer_gemm(a, a, "numba", 100)
-            np.testing.assert_array_equal(out, integer_gemm(a, a, "reference", 100))
-        else:
-            with pytest.raises(QuantizationError, match="numba"):
-                integer_gemm(a, a, "numba", 100)
+        for backend, bound in (("reference", 4), ("fast", FLOAT64_EXACT_BOUND)):
+            assert not float64_exact(backend, bound)
+            out = integer_gemm(a, a, backend, bound, float_accumulator=True)
+            assert out.dtype == np.int64
 
 
 class TestRequantize:
+    def test_float_accumulator_scales_like_int64(self):
+        acc = np.array([[3, -5], [1 << 52, 0]], dtype=np.int64)
+        np.testing.assert_array_equal(
+            requantize(acc.astype(np.float64), 7), requantize(acc, 7)
+        )
+
     def test_exact_power_of_two_scaling(self):
         acc = np.array([[3, -5], [1024, 0]], dtype=np.int64)
         np.testing.assert_array_equal(

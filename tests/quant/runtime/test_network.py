@@ -26,7 +26,6 @@ from repro.quant.runtime import (
     QuantizedNetwork,
     RuntimeSpec,
     build_layer_plan,
-    numba_available,
 )
 
 
@@ -109,14 +108,13 @@ class TestBitIdentity:
         reference = QuantizedNetwork(
             net, allocation, RuntimeSpec(backend="reference")
         ).forward(images)
-        for backend in ("fast",) + (("numba",) if numba_available() else ()):
-            for pack in (True, False):
-                out = QuantizedNetwork(
-                    net,
-                    allocation,
-                    RuntimeSpec(backend=backend, pack_activations=pack),
-                ).forward(images)
-                np.testing.assert_array_equal(out, reference)
+        for pack in (True, False):
+            out = QuantizedNetwork(
+                net,
+                allocation,
+                RuntimeSpec(backend="fast", pack_activations=pack),
+            ).forward(images)
+            np.testing.assert_array_equal(out, reference)
 
     def test_forward_from_many_vs_sequential(self, tiny):
         net, images, allocation, _ = tiny
@@ -180,6 +178,96 @@ class TestTrafficAccounting:
         assert q.images_seen == 0
         with pytest.raises(QuantizationError):
             q.measured_input_bits()
+
+
+class TestLenetTrafficPins:
+    """``measured_input_bits`` on lenet, pinned to the values the
+    bit-matrix packer produced: the word-parallel kernels move exactly
+    the same packed bytes.  Widths 8/12/19/10 cover byte-cast and
+    word-folded packing."""
+
+    PINS = {
+        8: {"conv1": 24576.0, "conv2": 16384.0, "conv3": 8192.0, "fc": 128.0},
+        "odd": {
+            "conv1": 36864.0, "conv2": 16384.0, "conv3": 19456.0, "fc": 160.0,
+        },
+    }
+
+    @pytest.fixture(scope="class")
+    def lenet(self):
+        net = build_model("lenet")
+        images = np.random.default_rng(0).normal(
+            scale=50.0, size=(7,) + net.input_shape
+        )
+        stats = measure_ranges(net, images)
+        uniform = BitwidthAllocation.uniform(ordered_stats(net, stats), 8)
+        from repro.quant.allocation import LayerAllocation
+
+        odd = BitwidthAllocation(
+            [
+                LayerAllocation(entry.name, entry.integer_bits, fraction)
+                for entry, fraction in zip(uniform, (3, -2, 9, 1))
+            ]
+        )
+        return net, images, {8: uniform, "odd": odd}
+
+    @pytest.mark.parametrize("which", [8, "odd"])
+    def test_measured_bits_pinned_across_specs(self, lenet, which):
+        net, images, allocations = lenet
+        logits = []
+        for spec in (
+            RuntimeSpec(),
+            RuntimeSpec(pack_activations=False),
+            RuntimeSpec(backend="reference"),
+        ):
+            q = QuantizedNetwork(net, allocations[which], spec)
+            logits.append(
+                np.concatenate([q.forward(images[:3]), q.forward(images[3:])])
+            )
+            assert q.measured_input_bits() == self.PINS[which]
+        for out in logits[1:]:
+            np.testing.assert_array_equal(out, logits[0])
+
+
+class TestOperandDtype:
+    def test_fast_plans_carry_float64_operands(self, tiny):
+        net, _, allocation, _ = tiny
+        fast = QuantizedNetwork(net, allocation)
+        ref = QuantizedNetwork(net, allocation, RuntimeSpec(backend="reference"))
+        for name in allocation.names:
+            plan = fast.plans[name]
+            assert plan.weight_operand.dtype == np.float64
+            np.testing.assert_array_equal(plan.weight_operand, plan.weight_codes)
+            assert ref.plans[name].weight_operand.dtype == np.int64
+
+    def test_fast_falls_back_to_int64_past_2_pow_53(self):
+        """32-bit activations on lenet's conv2 (K=150) push the bound
+        past 2**53: that layer runs int64 on the fast backend too, and
+        the logits still match the reference bit for bit."""
+        from repro.quant.allocation import LayerAllocation
+
+        net = build_model("lenet")
+        images = np.random.default_rng(1).normal(
+            scale=50.0, size=(4,) + net.input_shape
+        )
+        uniform, _ = allocation_for(net, images, total_bits=8)
+        wide = BitwidthAllocation(
+            [
+                LayerAllocation(
+                    e.name,
+                    e.integer_bits,
+                    32 - e.integer_bits if e.name == "conv2" else e.fraction_bits,
+                )
+                for e in uniform
+            ]
+        )
+        fast = QuantizedNetwork(net, wide)
+        assert fast.plans["conv2"].weight_operand.dtype == np.int64
+        assert fast.plans["conv1"].weight_operand.dtype == np.float64
+        reference = QuantizedNetwork(net, wide, RuntimeSpec(backend="reference"))
+        np.testing.assert_array_equal(
+            fast.forward(images), reference.forward(images)
+        )
 
 
 class TestValidation:

@@ -93,6 +93,113 @@ class TestPackUnpack:
             unpack_codes(packed, 4, 100)
 
 
+def oracle_pack(codes, bits):
+    """Bit-matrix packer: one uint8 lane per bit, then ``packbits``.
+
+    The first implementation of the format, kept as the differential
+    oracle for the word-parallel kernels (slow, but obviously right).
+    """
+    flat = np.ascontiguousarray(codes, dtype=np.int64).reshape(-1)
+    unsigned = (flat & ((1 << bits) - 1)).astype(np.uint64)
+    lanes = np.arange(bits, dtype=np.uint64)
+    bit_matrix = ((unsigned[:, None] >> lanes) & 1).astype(np.uint8)
+    return np.packbits(bit_matrix.reshape(-1), bitorder="little")
+
+
+def oracle_unpack(packed, bits, count):
+    """Inverse of :func:`oracle_pack` with explicit sign extension."""
+    lanes = np.unpackbits(
+        np.ascontiguousarray(packed, dtype=np.uint8),
+        count=count * bits,
+        bitorder="little",
+    ).reshape(count, bits)
+    weights = np.uint64(1) << np.arange(bits, dtype=np.uint64)
+    unsigned = (lanes.astype(np.uint64) * weights).sum(
+        axis=1, dtype=np.uint64
+    ).astype(np.int64)
+    return np.where(
+        unsigned & np.int64(1 << (bits - 1)),
+        unsigned - np.int64(1 << bits),
+        unsigned,
+    )
+
+
+@st.composite
+def code_arrays(draw):
+    """(bits, codes): any width and count, often heavy on extreme codes."""
+    bits = draw(st.integers(1, MAX_PACK_BITS))
+    count = draw(st.integers(0, 200))
+    extreme_share = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo, hi = code_bounds(bits)
+    codes = rng.integers(lo, hi + 1, size=count, dtype=np.int64)
+    extremes = np.array([lo, hi, 0, max(lo, -1), min(hi, lo + 1)])
+    chosen = rng.random(count) < extreme_share
+    codes[chosen] = rng.choice(extremes, size=int(chosen.sum()))
+    return bits, codes
+
+
+class TestAgainstBitMatrixOracle:
+    """The word-parallel kernels are byte-for-byte the oracle's format."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=code_arrays())
+    def test_pack_bytes_equal_oracle(self, case):
+        bits, codes = case
+        packed = pack_codes(codes, bits)
+        assert packed.dtype == np.uint8
+        assert packed.tobytes() == oracle_pack(codes, bits).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=code_arrays(), padding=st.integers(0, 9))
+    def test_unpack_inverts_oracle_with_trailing_bytes(self, case, padding):
+        """Streams longer than needed (trailing padding bytes, possibly
+        non-zero) decode the same codes."""
+        bits, codes = case
+        junk = np.full(padding, 0xA5, dtype=np.uint8)
+        stream = np.concatenate([oracle_pack(codes, bits), junk])
+        decoded = unpack_codes(stream, bits, codes.size)
+        assert decoded.dtype == np.int64
+        np.testing.assert_array_equal(decoded, codes)
+        np.testing.assert_array_equal(
+            decoded, oracle_unpack(stream, bits, codes.size)
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=code_arrays(), step=st.integers(2, 3))
+    def test_non_contiguous_input(self, case, step):
+        """Strided and transposed views pack like their contiguous copy."""
+        bits, codes = case
+        strided = np.repeat(codes, step)[::step]
+        assert strided.size <= 1 or not strided.flags.c_contiguous
+        assert pack_codes(strided, bits).tobytes() == oracle_pack(codes, bits).tobytes()
+        if codes.size % 2 == 0 and codes.size:
+            grid = codes.reshape(2, -1)
+            assert (
+                pack_codes(grid.T, bits).tobytes()
+                == oracle_pack(np.ascontiguousarray(grid.T), bits).tobytes()
+            )
+
+    @pytest.mark.parametrize("bits", range(1, MAX_PACK_BITS + 1))
+    def test_every_width_at_group_boundaries(self, bits):
+        """Counts around the 8-code group size and the 64-bit word."""
+        lo, hi = code_bounds(bits)
+        rng = np.random.default_rng(bits)
+        for count in (1, 7, 8, 9, 15, 16, 17, 63, 64, 65):
+            codes = rng.integers(lo, hi + 1, size=count, dtype=np.int64)
+            codes[0], codes[-1] = lo, hi
+            packed = pack_codes(codes, bits)
+            assert packed.tobytes() == oracle_pack(codes, bits).tobytes()
+            np.testing.assert_array_equal(unpack_codes(packed, bits, count), codes)
+
+    def test_unpack_leaves_the_stream_untouched(self):
+        codes = np.arange(-8, 8, dtype=np.int64)
+        packed = pack_codes(codes, 5)
+        before = packed.copy()
+        unpack_codes(packed, 5, codes.size)
+        np.testing.assert_array_equal(packed, before)
+
+
 class TestPackedTensor:
     def test_from_codes_round_trip_preserves_shape_and_values(self):
         fmt = FixedPointFormat(4, 6)
