@@ -41,9 +41,10 @@ quant-smoke:     ## tiny lenet run on the integer runtime; fails if measured dro
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_quant.py --smoke \
 		--output bench-quant-smoke.json
 
-ablate-smoke:    ## tiny lenet campaign with one injected chaos fault (CI gate)
+ablate-smoke:    ## tiny lenet campaign with one injected chaos fault, then a resume on its cache (CI gate)
+	rm -rf ablate-smoke-cache
 	PYTHONPATH=src $(PYTHON) -m repro ablate --model lenet --smoke \
-		--components fallback,xi,cache \
+		--components fallback,xi,cache --cache-dir ablate-smoke-cache \
 		--chaos-cell component/cache:off/lenet \
 		--output ablate-smoke.json
 	@PYTHONPATH=src $(PYTHON) -c "import json; r = json.load(open('ablate-smoke.json')); \
@@ -55,6 +56,20 @@ ablate-smoke:    ## tiny lenet campaign with one injected chaos fault (CI gate)
 	assert r['importance'], 'importance ranking missing'; \
 	assert r['manifest'].get('config_hash'), 'manifest missing'; \
 	print('ablate smoke OK: %d cells, 1 injected failure isolated' % len(rows))"
+	PYTHONPATH=src $(PYTHON) -m repro ablate --model lenet --smoke \
+		--components fallback,xi,cache --cache-dir ablate-smoke-cache \
+		--output ablate-smoke-resume.json
+	@PYTHONPATH=src $(PYTHON) -c "import json; \
+	first = {x['cell_id']: x for x in json.load(open('ablate-smoke.json'))['rows']}; \
+	r = json.load(open('ablate-smoke-resume.json')); rows = r['rows']; \
+	assert len(rows) == len(first) and all(x['status'] == 'ok' for x in rows), rows; \
+	resumed = [x['cell_id'] for x in rows if x['resumed']]; \
+	assert resumed == ['component/baseline/lenet', 'component/fallback:off/lenet'], resumed; \
+	assert r['executed_cell_ids'] == ['component/fallback:forced/lenet', 'component/xi:equal/lenet', 'component/cache:off/lenet'], r['executed_cell_ids']; \
+	same = lambda x: {k: v for k, v in x.items() if k not in ('elapsed_seconds', 'cache_counters', 'resumed')}; \
+	moved = [x['cell_id'] for x in rows if first[x['cell_id']]['status'] == 'ok' and same(x) != same(first[x['cell_id']])]; \
+	assert not moved, moved; \
+	print('ablate resume OK: %d restored from the cache, %d re-executed, rows unchanged' % (len(resumed), len(rows) - len(resumed)))"
 
 monitor-smoke:   ## tiny sweep with --events-dir, then parse + self-scrape the bus (CI gate)
 	rm -rf monitor-smoke-events
@@ -110,5 +125,6 @@ check-concurrency:  ## concurrency + determinism analyzers against the committed
 clean:
 	rm -rf .pytest_cache .hypothesis benchmarks/results results
 	rm -rf monitor-smoke-events monitor-smoke.txt monitor-scrape.txt
+	rm -rf ablate-smoke.json ablate-smoke-resume.json ablate-smoke-cache
 	rm -rf sweep-scale-smoke-run sweep-scale-smoke.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

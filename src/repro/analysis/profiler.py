@@ -331,6 +331,21 @@ class ErrorProfiler:
             jobs = 1
             sq_sums = {name: cached_sums[name][0] for name in cached_sums}
             counts = {name: cached_sums[name][1] for name in cached_sums}
+
+            def publish(
+                name: str, layer_sums: np.ndarray, layer_counts: np.ndarray
+            ) -> None:
+                # Stored the moment a layer is reduced, so a crash later
+                # in the campaign keeps every finished layer: a re-run
+                # with the same cache restores them and replays the rest.
+                if self.cache is not None:
+                    self.cache.put_arrays(
+                        "profile",
+                        layer_keys[name],
+                        {"sq_sums": layer_sums, "counts": layer_counts},
+                        meta={"layer": name},
+                    )
+
             if missing:
                 missing_grids = {name: grids[name] for name in missing}
                 if self.use_engine:
@@ -347,6 +362,7 @@ class ErrorProfiler:
                         seed=settings.seed,
                         batch_size=self.batch_size,
                         progress=progress,
+                        on_layer=publish,
                     )
                     sq_sums.update(campaign.sq_sums)
                     counts.update(campaign.counts)
@@ -354,22 +370,15 @@ class ErrorProfiler:
                     replay_fractions = campaign.replay_fractions
                     jobs = campaign.jobs
                 else:
+                    # The legacy loop is batch-major: every layer
+                    # finishes on the last batch, so all publish then.
                     fresh_sums, fresh_counts = self._profile_serial(
                         images, missing_grids, missing, num_images, progress
                     )
                     sq_sums.update(fresh_sums)
                     counts.update(fresh_counts)
-                if self.cache is not None:
                     for name in missing:
-                        self.cache.put_arrays(
-                            "profile",
-                            layer_keys[name],
-                            {
-                                "sq_sums": sq_sums[name],
-                                "counts": counts[name],
-                            },
-                            meta={"layer": name},
-                        )
+                        publish(name, sq_sums[name], counts[name])
 
             fit_start = time.perf_counter()
             profiles: Dict[str, LayerErrorProfile] = {}

@@ -117,7 +117,6 @@ KEY_FIELD_REGISTRY: Dict[str, Dict[str, str]] = {
         "scheme": KEYED,
         "seed": KEYED,
         "strict": KEYED,
-        "state_dir": NON_NUMERIC,
         "jobs": EXCLUDED_BY_CONTRACT,
         "parallel_backend": EXCLUDED_BY_CONTRACT,
         "telemetry": NON_NUMERIC,

@@ -34,10 +34,12 @@ content-addressed under DIR and reuse them across runs; also enabled by
 ``$REPRO_CACHE_DIR``) and ``--no-cache`` (force it off); see
 ``docs/caching.md``.
 
-Every subcommand accepts ``--resume DIR`` (checkpoint/resume the
-expensive stages under DIR) and ``--strict`` (escalate guardrail
-warnings and solver degradation to hard errors); see
-``docs/resilience.md``.
+The cache is also the resume mechanism: re-running a crashed command
+with the same ``--cache-dir`` restores every finished layer profile,
+sigma evaluation and outcome and recomputes only the rest.
+
+Every subcommand accepts ``--strict`` (escalate guardrail warnings and
+solver degradation to hard errors); see ``docs/resilience.md``.
 
 Run ``python -m repro <subcommand> --help`` for options.
 """
@@ -99,16 +101,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         choices=["thread", "process"],
         default="thread",
         help="engine pool backend (process = shared-memory workers)",
-    )
-    parser.add_argument(
-        "--resume",
-        default="",
-        metavar="DIR",
-        help=(
-            "checkpoint the expensive stages (per-layer profiles, sigma "
-            "searches) under DIR and resume from whatever already "
-            "completed there"
-        ),
     )
     parser.add_argument(
         "--strict",
@@ -173,7 +165,6 @@ def _config(args: argparse.Namespace) -> ExperimentConfig:
         scheme=args.scheme,
         seed=args.seed,
         strict=args.strict,
-        state_dir=args.resume,
         jobs=args.jobs,
         parallel_backend=args.parallel_backend,
         telemetry=args.telemetry,
@@ -470,9 +461,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         ),
         chaos_cells=tuple(args.chaos_cell),
     )
-    report = run_ablation_campaign(
-        spec, config=config, state_dir=args.resume or None, progress=True
-    )
+    report = run_ablation_campaign(spec, config=config, progress=True)
     for line in report.lines():
         print(line)
     manifest = report.manifest
@@ -989,7 +978,8 @@ def build_parser() -> argparse.ArgumentParser:
         "per toggled component) and optional scenario cells for the "
         "chosen models, with every cell fault-isolated: a crash "
         "becomes a structured failed row and the rest of the campaign "
-        "completes.  --resume DIR re-runs only failed/missing cells; "
+        "completes.  Re-running with the same --cache-dir resumes: cells "
+        "whose outcome is cached are restored, the rest re-execute; "
         "--strict restores fail-fast.  See docs/robustness.md.",
     )
     _add_common(p)

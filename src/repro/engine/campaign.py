@@ -233,6 +233,11 @@ def run_layer_campaign(
     return LayerCells(name=name, cells=cells, counts=counts)
 
 
+#: Receives one layer's reduced ``(name, sq_sums, counts)`` as soon as
+#: that layer finishes (see :meth:`InjectionEngine.run`).
+LayerSink = Callable[[str, np.ndarray, np.ndarray], None]
+
+
 @dataclass
 class CampaignResult:
     """Reduced campaign output plus instrumentation."""
@@ -277,8 +282,15 @@ class InjectionEngine:
         seed: int,
         batch_size: int = 32,
         progress: bool = False,
+        on_layer: Optional[LayerSink] = None,
     ) -> CampaignResult:
-        """Execute the campaign for every layer in ``grids``."""
+        """Execute the campaign for every layer in ``grids``.
+
+        Layers are reduced one at a time, in ``grids`` order, as soon as
+        each layer's replay finishes; ``on_layer(name, sq_sums, counts)``
+        then sees the reduced sums before the next layer is collected,
+        so a crash later in the campaign cannot lose them.
+        """
         names = list(grids)
         telemetry = self.telemetry
         timings = StageTimings(
@@ -311,29 +323,12 @@ class InjectionEngine:
             )
             for name in names
         ]
-        with _observed_stage(
-            telemetry,
-            timings,
-            "replay",
-            jobs=settings.jobs,
-            backend=settings.backend,
-            num_layers=len(names),
-        ) as replay_span:
-            replay_id = replay_span.span_id if replay_span else None
-            if settings.jobs == 1:
-                results = [
-                    self._run_serial_task(caches, task, progress)
-                    for task in tasks
-                ]
-            elif settings.backend == "process":
-                results = self._run_process_pool(caches, tasks, replay_id)
-            else:
-                results = self._run_thread_pool(caches, tasks, replay_id)
-        with _observed_stage(telemetry, timings, "reduce"):
-            sq_sums: Dict[str, np.ndarray] = {}
-            counts: Dict[str, np.ndarray] = {}
-            for task, layer_cells in zip(tasks, results):
-                name = task["name"]
+        sq_sums: Dict[str, np.ndarray] = {}
+        counts: Dict[str, np.ndarray] = {}
+
+        def finish(task: Dict[str, Any], layer_cells: LayerCells) -> None:
+            name = task["name"]
+            with _observed_stage(telemetry, timings, "reduce", layer=name):
                 cells = layer_cells.cells
                 num_deltas = cells.shape[1]
                 totals = np.zeros(num_deltas)
@@ -348,6 +343,25 @@ class InjectionEngine:
                     totals[j] = total
                 sq_sums[name] = totals
                 counts[name] = layer_cells.counts.copy()
+            if on_layer is not None:
+                on_layer(name, sq_sums[name], counts[name])
+
+        with _observed_stage(
+            telemetry,
+            timings,
+            "replay",
+            jobs=settings.jobs,
+            backend=settings.backend,
+            num_layers=len(names),
+        ) as replay_span:
+            replay_id = replay_span.span_id if replay_span else None
+            if settings.jobs == 1:
+                for task in tasks:
+                    finish(task, self._run_serial_task(caches, task, progress))
+            elif settings.backend == "process":
+                self._run_process_pool(caches, tasks, finish, replay_id)
+            else:
+                self._run_thread_pool(caches, tasks, finish, replay_id)
         return CampaignResult(
             sq_sums=sq_sums,
             counts=counts,
@@ -439,8 +453,9 @@ class InjectionEngine:
         self,
         tasks: Sequence[Dict[str, Any]],
         submit: Callable[[Dict[str, Any]], Any],
-    ) -> List[Any]:
-        """Gather results in task order, with transient retries.
+        finish: Callable[[Dict[str, Any], Any], None],
+    ) -> None:
+        """Hand each result to ``finish`` in task order, with retries.
 
         ``submit(task)`` returns a future.  All tasks launch up front;
         a task failing with :class:`TransientError` is resubmitted up
@@ -456,14 +471,13 @@ class InjectionEngine:
         for task in tasks:
             bus.stage("queued", f"engine.layer/{task['name']}")
         depth.set(len(futures))
-        results: List[Any] = []
         for task, future in zip(tasks, futures):
             name = task["name"]
             stage_name = f"engine.layer/{name}"
             failures: List[str] = []
             while True:
                 try:
-                    results.append(future.result())
+                    result = future.result()
                     depth.dec()
                     bus.stage(
                         "done", stage_name, retries=len(failures)
@@ -507,7 +521,7 @@ class InjectionEngine:
                         f"injection worker for layer {name!r} crashed: "
                         f"{exc!r}"
                     ) from exc
-        return results
+            finish(task, result)
 
     def _effective_workers(self) -> int:
         """``jobs`` capped at the cores actually available to us.
@@ -528,8 +542,9 @@ class InjectionEngine:
         self,
         caches: Sequence[ActivationCache],
         tasks: Sequence[Dict[str, Any]],
+        finish: Callable[[Dict[str, Any], LayerCells], None],
         parent_id: Optional[str] = None,
-    ) -> List[LayerCells]:
+    ) -> None:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(
@@ -550,14 +565,15 @@ class InjectionEngine:
                     **task,
                 )
 
-            return self._collect(tasks, submit)
+            self._collect(tasks, submit, finish)
 
     def _run_process_pool(
         self,
         caches: Sequence[ActivationCache],
         tasks: Sequence[Dict[str, Any]],
+        finish: Callable[[Dict[str, Any], LayerCells], None],
         parent_id: Optional[str] = None,
-    ) -> List[LayerCells]:
+    ) -> None:
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
 
@@ -585,6 +601,25 @@ class InjectionEngine:
                 ),
             ) as pool:
 
+                def unpack(task: Dict[str, Any], item: Any) -> None:
+                    cells, spans, snapshot = (
+                        item
+                        if isinstance(item, tuple)
+                        else pickle.loads(item)
+                    )
+                    if spans:
+                        # Worker-root spans (parent None in the worker's
+                        # local tracer) re-parent under the replay span;
+                        # perf_counter is system-wide monotonic on
+                        # Linux, so starts stay comparable for the merge
+                        # sort.
+                        self.telemetry.tracer.absorb(
+                            spans, parent_id=parent_id
+                        )
+                    if snapshot:
+                        self.telemetry.metrics.merge(snapshot)
+                    finish(task, cells)
+
                 def submit(task: Dict[str, Any]) -> Any:
                     return pool.submit(
                         _process_worker_run,
@@ -592,23 +627,6 @@ class InjectionEngine:
                         self.telemetry.enabled,
                     )
 
-                raw = self._collect(tasks, submit)
+                self._collect(tasks, submit, unpack)
         finally:
             shared.release()
-        results: List[LayerCells] = []
-        for item in raw:
-            cells, spans, snapshot = (
-                item
-                if isinstance(item, tuple)
-                else pickle.loads(item)
-            )
-            if spans:
-                # Worker-root spans (parent None in the worker's local
-                # tracer) re-parent under the replay span; perf_counter
-                # is system-wide monotonic on Linux, so starts stay
-                # comparable for the merge sort.
-                self.telemetry.tracer.absorb(spans, parent_id=parent_id)
-            if snapshot:
-                self.telemetry.metrics.merge(snapshot)
-            results.append(cells)
-        return results

@@ -8,7 +8,9 @@ report where the speedups come from):
 ``reference``  clean forward passes that build the activation caches
 ``replay``     the injection trials themselves (the dominant stage)
 ``fit``        per-layer regression + diagnostics
-``reduce``     fixed-order reduction of the per-trial cells
+``reduce``     fixed-order reduction of each layer's per-trial cells, run
+               as soon as that layer's replay finishes (so it nests
+               inside ``replay``, once per layer)
 
 Timings are cumulative across workers, measured on whichever thread
 runs the stage; with a pool the ``replay`` figure is summed CPU-side

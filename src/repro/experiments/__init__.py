@@ -51,7 +51,6 @@ from .scheduler import (
 from .ablate import (
     AblationSpec,
     build_campaign_cells,
-    campaign_fingerprint,
     run_ablation_campaign,
 )
 from .fig1 import ErrorShape, Fig1Result, run_fig1
@@ -96,7 +95,6 @@ __all__ = [
     "XiAblationResult",
     "average_savings",
     "build_campaign_cells",
-    "campaign_fingerprint",
     "clear_context_cache",
     "collect_report",
     "export_csv",

@@ -11,11 +11,14 @@ directory — across cells and across runs.
 Fault isolation is the campaign's contract: a crashing cell (including
 injected chaos) becomes a structured ``failed`` row carrying the error
 class, the pipeline stage, and a traceback digest, and every other
-cell still runs.  ``strict`` restores fail-fast.  With a state
-directory the campaign checkpoints each finished row and ``--resume``
-re-executes only the cells that failed or never ran; the campaign
-fingerprint pins the grid + configuration so a directory can never mix
-rows from two different campaigns.
+cell still runs.  ``strict`` restores fail-fast.
+
+Resuming is re-running with the same cache directory: a cell whose
+whole outcome is already in the content-addressed cache is restored
+(its row is marked ``resumed``), and every other cell re-executes,
+reusing whatever profiles and sigma evaluations earlier runs proved.
+The cache keys cover every result-determining setting, so a changed
+grid or configuration can never pick up a stale result.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from ..errors import ReproError
 from ..robustness import (
     CampaignCell,
     CampaignRow,
-    CampaignState,
     baseline_variant,
     build_matrix,
     build_report,
@@ -36,7 +38,7 @@ from ..robustness import (
     resolve_scenario,
 )
 from ..robustness.report import AblationReport
-from ..telemetry.manifest import build_manifest, config_hash
+from ..telemetry.manifest import build_manifest
 from ..telemetry.session import Telemetry
 from .common import ExperimentConfig
 
@@ -63,8 +65,8 @@ def build_campaign_cells(
     """The campaign's cell list, matrix-major then scenarios.
 
     Cell ids are stable across runs — ``component/<variant>/<model>``
-    and ``scenario/<name>/<model>`` — which is what makes resume and
-    chaos targeting addressable.
+    and ``scenario/<name>/<model>`` — which is what makes chaos
+    targeting addressable.
     """
     chaos = set(spec.chaos_cells)
     cells: List[CampaignCell] = []
@@ -113,43 +115,6 @@ def build_campaign_cells(
     return cells
 
 
-def campaign_fingerprint(
-    spec: AblationSpec, config: ExperimentConfig
-) -> str:
-    """Identity hash of the campaign: the grid + the configuration.
-
-    Chaos injection and the state directory are deliberately excluded:
-    a campaign crashed *by* chaos must resume cleanly without it, and
-    the resume directory names where state lives, not what is measured.
-    Observability knobs (telemetry, traces, the event bus) are excluded
-    for the same reason — they never touch what is measured, and a
-    resume must not be refused because monitoring was toggled.
-    """
-    plain = asdict(config)
-    plain.pop("state_dir", None)
-    plain.pop("telemetry", None)
-    plain.pop("trace_out", None)
-    plain.pop("events_dir", None)
-    cells = build_campaign_cells(
-        AblationSpec(
-            models=tuple(spec.models),
-            accuracy_drop=spec.accuracy_drop,
-            objective=spec.objective,
-            components=spec.components,
-            scenarios=tuple(spec.scenarios),
-            chaos_cells=(),
-        ),
-        config,
-    )
-    payload = {
-        "cells": [cell.cell_id for cell in cells],
-        "config": plain,
-        "accuracy_drop": spec.accuracy_drop,
-        "objective": spec.objective,
-    }
-    return config_hash(payload)
-
-
 def _campaign_manifest(
     spec: AblationSpec,
     config: ExperimentConfig,
@@ -157,7 +122,6 @@ def _campaign_manifest(
 ) -> Dict[str, object]:
     manifest = build_manifest(
         config={
-            "campaign": campaign_fingerprint(spec, config),
             "models": list(spec.models),
             "accuracy_drop": spec.accuracy_drop,
             "objective": spec.objective,
@@ -179,27 +143,20 @@ def _campaign_manifest(
 def run_ablation_campaign(
     spec: Optional[AblationSpec] = None,
     config: Optional[ExperimentConfig] = None,
-    state_dir: Optional[str] = None,
     progress: bool = False,
 ) -> AblationReport:
     """Execute (or resume) a campaign and measure component importance.
 
     ``config.strict`` turns the per-cell fault boundary off: the first
-    failing cell raises instead of becoming a ``failed`` row.  With
-    ``state_dir`` every finished row is checkpointed; on a re-run,
-    ``ok`` rows are loaded (marked ``resumed``) and only failed or
-    missing cells execute.
+    failing cell raises instead of becoming a ``failed`` row.  With a
+    cache directory, cells whose outcome an earlier run already cached
+    are restored and marked ``resumed``; only the rest count as
+    executed.
     """
     spec = spec or AblationSpec()
     config = config or ExperimentConfig()
     cells = build_campaign_cells(spec, config)
     manifest = _campaign_manifest(spec, config, cells)
-    state: Optional[CampaignState] = None
-    prior: Dict[str, CampaignRow] = {}
-    if state_dir:
-        state = CampaignState(state_dir)
-        state.bind(campaign_fingerprint(spec, config))
-        prior = state.load_rows()
     telemetry = Telemetry.create(config.telemetry_settings())
     bus = telemetry.event_bus
     keep_going = not config.strict
@@ -216,15 +173,6 @@ def run_ablation_campaign(
         objective=spec.objective,
     ):
         for cell in cells:
-            earlier = prior.get(cell.cell_id)
-            if earlier is not None and earlier.status == "ok":
-                earlier.resumed = True
-                rows.append(earlier)
-                bus.cell("cached-hit", cell.cell_id, resumed=True)
-                bus.cell("done", cell.cell_id, resumed=True)
-                if progress:  # pragma: no cover - console nicety
-                    print(f"  {cell.cell_id}: resumed")
-                continue
             bus.cell("running", cell.cell_id)
             with telemetry.tracer.span(
                 "ablate.cell",
@@ -243,10 +191,11 @@ def run_ablation_campaign(
             telemetry.metrics.counter(
                 f"ablate_cells_{row.status}_total"
             ).inc()
-            if state is not None:
-                state.save_row(row)
             rows.append(row)
-            executed.append(cell.cell_id)
+            if row.resumed:
+                bus.cell("cached-hit", cell.cell_id, resumed=True)
+            else:
+                executed.append(cell.cell_id)
             if row.status == "ok":
                 bus.cell(
                     "done",
@@ -265,8 +214,9 @@ def run_ablation_campaign(
                     ),
                 )
             if progress:  # pragma: no cover - console nicety
+                status = "resumed" if row.resumed else row.status
                 print(
-                    f"  {cell.cell_id}: {row.status} "
+                    f"  {cell.cell_id}: {status} "
                     f"({row.elapsed_seconds:.2f}s)"
                 )
     bus.run_finished(
@@ -289,6 +239,5 @@ def run_ablation_campaign(
 __all__ = [
     "AblationSpec",
     "build_campaign_cells",
-    "campaign_fingerprint",
     "run_ablation_campaign",
 ]

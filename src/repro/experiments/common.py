@@ -44,8 +44,6 @@ class ExperimentConfig:
     seed: int = DEFAULT_SEED
     #: Escalate guardrail warnings and solver degradation to errors.
     strict: bool = False
-    #: Directory for resumable run state ("" disables checkpointing).
-    state_dir: str = ""
     #: Worker count for the injection engine's layer-level pool
     #: (``--jobs``; 1 = serial, deterministic either way).
     jobs: int = 1
@@ -155,7 +153,6 @@ def make_context(
         search_settings=config.search_settings(),
         scheme=config.scheme,
         strict=config.strict,
-        state_dir=config.state_dir or None,
         parallel=config.parallel_settings(),
         telemetry=config.telemetry_settings(),
         cache=config.resolved_cache_dir(),

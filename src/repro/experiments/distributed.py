@@ -74,7 +74,7 @@ from ..cache.leases import (
     lease_is_expired,
     steal_expired_lease,
 )
-from ..errors import ReproError
+from ..errors import ReproError, ResumeError
 from ..robustness.faults import FailureRecord, classify_failure
 from ..telemetry.events import EventBus, open_event_bus
 from ..telemetry.manifest import build_manifest
@@ -224,7 +224,7 @@ def publish_plan(
     if plan_path.exists():
         existing = load_plan(run_dir)
         if existing.fingerprint != plan.fingerprint:
-            raise ReproError(
+            raise ResumeError(
                 f"run directory {run_path} holds a different sweep "
                 f"(plan fingerprint {existing.fingerprint[:12]} != "
                 f"{plan.fingerprint[:12]}); use a fresh --run-dir or "
@@ -247,35 +247,46 @@ def publish_plan(
 
 
 def load_plan(run_dir: PathLike) -> SweepPlan:
-    """Attach to a run directory; raises when no valid plan exists."""
+    """Attach to a run directory; raises when no valid plan exists.
+
+    Every way a plan can be unusable — unreadable, not JSON, another
+    schema, malformed fields, a stale fingerprint — raises
+    :class:`~repro.errors.ResumeError` naming the plan file.
+    """
     plan_path = Path(run_dir) / PLAN_FILE
     try:
         payload = json.loads(plan_path.read_text(encoding="utf-8"))
     except OSError as exc:
-        raise ReproError(
+        raise ResumeError(
             f"{plan_path} is not a distributed sweep run directory "
             f"(no readable plan): {exc}"
         ) from exc
     except ValueError as exc:
-        raise ReproError(f"{plan_path} is not valid JSON: {exc}") from exc
-    if payload.get("schema") != DISTRIBUTED_SCHEMA_VERSION:
-        raise ReproError(
-            f"{plan_path}: plan schema {payload.get('schema')!r} is not "
+        raise ResumeError(f"{plan_path} is not valid JSON: {exc}") from exc
+    schema = payload.get("schema") if isinstance(payload, dict) else None
+    if schema != DISTRIBUTED_SCHEMA_VERSION:
+        raise ResumeError(
+            f"{plan_path}: plan schema {schema!r} is not "
             f"{DISTRIBUTED_SCHEMA_VERSION}"
         )
-    spec_raw = payload["spec"]
-    spec = SweepSpec(
-        models=tuple(str(m) for m in spec_raw["models"]),
-        accuracy_drops=tuple(
-            float(d) for d in spec_raw["accuracy_drops"]
-        ),
-        objectives=tuple(str(o) for o in spec_raw["objectives"]),
-    )
-    config = ExperimentConfig(**payload["config"])
-    synthetic = float(payload.get("synthetic_seconds", 0.0))
+    try:
+        spec_raw = payload["spec"]
+        spec = SweepSpec(
+            models=tuple(str(m) for m in spec_raw["models"]),
+            accuracy_drops=tuple(
+                float(d) for d in spec_raw["accuracy_drops"]
+            ),
+            objectives=tuple(str(o) for o in spec_raw["objectives"]),
+        )
+        config = ExperimentConfig(**payload["config"])
+        synthetic = float(payload.get("synthetic_seconds", 0.0))
+    except (KeyError, TypeError, ValueError) as exc:
+        # Unknown or missing fields, wrong container types: a plan
+        # written by another code version or edited by hand.
+        raise ResumeError(f"{plan_path}: malformed plan: {exc!r}") from exc
     fingerprint = plan_fingerprint(spec, config, synthetic)
     if fingerprint != payload.get("fingerprint"):
-        raise ReproError(
+        raise ResumeError(
             f"{plan_path}: stored fingerprint does not match the "
             "recomputed one; the plan file was edited or the code "
             "version changed (CODE_SALT) — start a fresh run directory"
@@ -396,9 +407,8 @@ def _synthetic_cell_row(plan: SweepPlan, cell: Cell) -> Dict[str, Any]:
 def execute_cell(plan: SweepPlan, cell: Cell) -> Dict[str, Any]:
     """One cell through the existing ``run_sweep`` cell path.
 
-    The worker-local config strips run-level observability and the
-    single-process checkpoint directory: the run directory owns the
-    event lifecycle, and cell-granular resume comes from published
+    The worker-local config strips run-level observability: the run
+    directory owns the event lifecycle, and cell-granular resume comes from published
     results plus the shared content-addressed store.
     """
     if plan.synthetic_seconds > 0:
@@ -407,9 +417,7 @@ def execute_cell(plan: SweepPlan, cell: Cell) -> Dict[str, Any]:
     spec = SweepSpec(
         models=(model,), accuracy_drops=(drop,), objectives=(objective,)
     )
-    config = replace(
-        plan.config, events_dir="", trace_out="", state_dir=""
-    )
+    config = replace(plan.config, events_dir="", trace_out="")
     report = run_sweep(spec, config, keep_going=True)
     if report.cells:
         row = _row_from_cell_result(report.cells[0])

@@ -79,6 +79,10 @@ class SweepCellResult:
     bitwidths: Dict[str, int]
     degraded: bool
     elapsed_seconds: float
+    #: True when the whole outcome came back from the persistent cache.
+    #: Like the timing, it describes this run, not the result, so it
+    #: stays out of :meth:`as_dict`.
+    restored: bool = False
 
     @property
     def meets_constraint(self) -> Optional[bool]:
@@ -334,7 +338,8 @@ def run_sweep(
                 cache_misses = cache_after.get(
                     "misses", 0
                 ) - cache_before.get("misses", 0)
-                if _restored_total(optimizer) > restored_before:
+                restored = _restored_total(optimizer) > restored_before
+                if restored:
                     bus.cell("cached-hit", cell_id)
                 allocation = outcome.result.allocation
                 cell = SweepCellResult(
@@ -350,6 +355,7 @@ def run_sweep(
                     bitwidths=outcome.bitwidths,
                     degraded=outcome.degraded,
                     elapsed_seconds=cell_elapsed,
+                    restored=restored,
                 )
                 report.cells.append(cell)
                 if bus.enabled:

@@ -15,9 +15,10 @@ caching, so the expensive parts run once per network:
 "Changing the user constraints only requires re-running the last
 optimization step" — the caches make that true here as well.
 
-Resilience: with ``state_dir`` set, the expensive stages (per-layer
-profiling, sigma searches) checkpoint to disk and a re-run resumes from
-the last completed unit of work; ``strict`` escalates guardrail
+Resilience: with a persistent ``cache``, every expensive stage
+(per-layer profiles, sigma evaluations, whole outcomes) is published as
+soon as it finishes, so a re-run after a crash resumes from the last
+completed unit of work; ``strict`` escalates guardrail
 warnings and solver degradation to errors; the default fallback chain
 retries a failed Eq. 8 solve and degrades to equal-xi with the outcome
 tagged ``degraded=True``.
@@ -104,7 +105,6 @@ class PrecisionOptimizer:
         scheme: str = "scheme1",
         batch_size: int = 64,
         refine: bool = True,
-        state_dir: Optional[Union[str, "object"]] = None,
         strict: bool = False,
         fallback: bool = True,
         transient_retries: int = 2,
@@ -151,20 +151,6 @@ class PrecisionOptimizer:
         #: Override the Eq. 8 solver (dependency injection for chaos
         #: testing; None means the real SLSQP solver).
         self.xi_solver = xi_solver
-        #: On-disk checkpointing: bind (or resume) a RunState when a
-        #: state directory is given.  The coarse per-layer profiles and
-        #: every finished sigma search persist there; a crashed run
-        #: resumes from the last completed layer/search.
-        self.state = None
-        if state_dir is not None:
-            from ..resilience.state import RunState
-
-            self.state = (
-                state_dir
-                if isinstance(state_dir, RunState)
-                else RunState(state_dir)
-            )
-            self.state.bind(network.name)
         #: Pre-run static verification (graph structure, shape
         #: re-inference, parameter dtypes) and post-allocation audits
         #: (overflow, negative-F, xi invariants, Eq. 5 fit gates).
@@ -296,9 +282,9 @@ class PrecisionOptimizer:
     def profile(self, progress: bool = False) -> ProfileReport:
         """lambda/theta for every analyzed layer (cached).
 
-        With a bound run state, profiling goes layer by layer with a
-        checkpoint after each completed layer, and resuming a crashed
-        run re-profiles only the layers that never finished.
+        With a persistent cache each layer's campaign sums are stored as
+        soon as that layer finishes, so a re-run after a crash
+        re-profiles only the layers that never finished.
         """
         if self._profiles is None:
             profiler = ErrorProfiler(
@@ -311,27 +297,17 @@ class PrecisionOptimizer:
                 telemetry=self.telemetry,
                 cache=self.cache,
             )
-            if self.state is not None:
-                from ..resilience.state import resumable_profile
-
-                self._profiles = resumable_profile(
-                    profiler, self.state, progress=progress
-                )
-            else:
-                self._profiles = profiler.profile(progress=progress)
+            self._profiles = profiler.profile(progress=progress)
         return self._profiles
 
     # ------------------------------------------------------------------
     def sigma_for_drop(self, accuracy_drop: float) -> SigmaSearchResult:
         """Binary search for the tolerable sigma_YL (cached per drop).
 
-        With a bound run state, finished searches persist to disk and a
-        resumed run loads them instead of re-searching.
+        With a persistent cache every accuracy evaluation is memoized,
+        so a re-run after a crash mid-search replays the finished
+        probes from the cache instead of re-measuring them.
         """
-        if accuracy_drop not in self._sigma_cache and self.state is not None:
-            stored = self.state.load_sigma_result(accuracy_drop)
-            if stored is not None:
-                self._sigma_cache[accuracy_drop] = stored
         if accuracy_drop not in self._sigma_cache:
             if self.scheme == "scheme2":
                 if self._scheme2_evaluator is None:
@@ -370,10 +346,6 @@ class PrecisionOptimizer:
                 telemetry=self.telemetry,
                 evaluations_saved_fn=lambda: evaluator.cache_hits,
             )
-            if self.state is not None:
-                self.state.save_sigma_result(
-                    accuracy_drop, self._sigma_cache[accuracy_drop]
-                )
         return self._sigma_cache[accuracy_drop]
 
     def profiles_for_drop(self, accuracy_drop: float):

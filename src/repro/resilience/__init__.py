@@ -1,4 +1,4 @@
-"""Resilience layer: guardrails, fallback chains, resumable state, chaos.
+"""Resilience layer: guardrails, fallback chains, chaos.
 
 The paper's pipeline is a chain of numerically fragile stages; this
 package makes failure a first-class path instead of a crash:
@@ -7,8 +7,6 @@ package makes failure a first-class path instead of a crash:
   detection with structured :class:`Diagnostic` records.
 * :mod:`~repro.resilience.fallback` — multi-start retry for the Eq. 8
   solver and graceful degradation to the equal-xi scheme.
-* :mod:`~repro.resilience.state` — on-disk :class:`RunState` so
-  interrupted runs resume from the last completed stage.
 * :mod:`~repro.resilience.chaos` — seeded fault injection harness used
   by ``tests/resilience/`` to prove every degradation path.
 
@@ -40,9 +38,6 @@ _EXPORTS = {
     "check_profile_fit": "guards",
     "check_sigma_bracket": "guards",
     "enforce": "guards",
-    "RunState": "state",
-    "STATE_VERSION": "state",
-    "resumable_profile": "state",
 }
 
 __all__ = sorted(_EXPORTS)
@@ -71,7 +66,6 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         check_sigma_bracket,
         enforce,
     )
-    from .state import STATE_VERSION, RunState, resumable_profile  # noqa: F401
 
 
 def __getattr__(name: str):

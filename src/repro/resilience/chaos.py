@@ -247,14 +247,16 @@ def crash_after_layers(
     num_repeats: int,
     num_batches: int = 1,
 ) -> FaultSchedule:
-    """Schedule a crash once ``completed`` layer campaigns finished.
+    """Schedule a crash once ``completed`` layers finished replaying.
 
-    Helper for resume tests with :func:`resumable_profile`, which runs
-    one ``profile([name])`` campaign per layer.  Each campaign issues,
-    in network-forward events: one scale pass, then per batch one
-    ``run_all`` plus ``num_delta_points * num_repeats`` partial
-    re-executions.  The crash fires on the first event of campaign
-    ``completed`` — i.e. after exactly that many layers checkpointed.
+    Helper for resume tests against the joint engine campaign of
+    :meth:`~repro.analysis.profiler.ErrorProfiler.profile` (serial
+    engine, cache cold).  In network-forward events the campaign issues
+    one scale pass, one ``run_all`` per batch for the reference stage,
+    then for each layer in turn ``num_batches * num_delta_points *
+    num_repeats`` replayed trials.  The crash fires on the first trial
+    of layer ``completed`` — i.e. after exactly that many layers were
+    reduced and published to the cache.
     """
-    per_layer = 1 + num_batches * (1 + num_delta_points * num_repeats)
-    return FaultSchedule.once(completed * per_layer)
+    per_layer = num_batches * num_delta_points * num_repeats
+    return FaultSchedule.once(1 + num_batches + completed * per_layer)

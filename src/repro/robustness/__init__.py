@@ -11,7 +11,6 @@ The package turns the pipeline's robustness story into measurements:
   (input shift, weight noise, odd topologies, extreme drop targets),
 * :mod:`~repro.robustness.runner` — fault-isolated execution of one
   campaign cell,
-* :mod:`~repro.robustness.state` — resumable on-disk campaign state,
 * :mod:`~repro.robustness.report` — measured component importance and
   scenario verdicts.
 
@@ -51,10 +50,8 @@ from .scenarios import (
     perturb_network_weights,
     resolve_scenario,
 )
-from .state import CAMPAIGN_STATE_VERSION, CampaignState
 
 __all__ = [
-    "CAMPAIGN_STATE_VERSION",
     "COMPONENT_BUILDERS",
     "DEFAULT_COMPONENTS",
     "DEFAULT_SCENARIOS",
@@ -62,7 +59,6 @@ __all__ = [
     "AblationReport",
     "CampaignCell",
     "CampaignRow",
-    "CampaignState",
     "FailureRecord",
     "ImportanceEntry",
     "MatrixVariant",

@@ -31,7 +31,6 @@ _STAGE_MARKERS: Tuple[Tuple[str, str], ...] = (
     ("weights/", "weight_search"),
     ("models/evaluate", "validation"),
     ("nn/statistics", "stats"),
-    ("resilience/state", "resume"),
     ("cache/", "cache"),
     ("pipeline/", "pipeline"),
     ("models/", "context"),

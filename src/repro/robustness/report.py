@@ -305,7 +305,7 @@ def build_report(
     totals: Dict[str, int] = {}
     for row in rows:
         if row.resumed:
-            continue  # counters were consumed by the original run
+            continue  # restoring an outcome is not campaign work
         for key, value in row.cache_counters.items():
             totals[key] = totals.get(key, 0) + value
     return AblationReport(

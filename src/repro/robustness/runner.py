@@ -65,7 +65,8 @@ class CampaignRow:
     objective: str
     status: str
     elapsed_seconds: float
-    #: True when the row was loaded from campaign state, not executed.
+    #: True when the cell's whole outcome was restored from the
+    #: persistent cache instead of being recomputed.
     resumed: bool = False
     sigma: Optional[float] = None
     effective_input_bits: Optional[float] = None
@@ -106,55 +107,6 @@ class CampaignRow:
             None if self.failure is None else self.failure.as_dict()
         )
         return payload
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "CampaignRow":
-        failure = payload.get("failure")
-        bitwidths = payload.get("bitwidths")
-        return cls(
-            cell_id=str(payload["cell_id"]),
-            kind=str(payload["kind"]),
-            group=str(payload["group"]),
-            variant=str(payload["variant"]),
-            model=str(payload["model"]),
-            accuracy_drop=float(payload["accuracy_drop"]),
-            objective=str(payload["objective"]),
-            status=str(payload["status"]),
-            elapsed_seconds=float(payload["elapsed_seconds"]),
-            resumed=bool(payload.get("resumed", False)),
-            sigma=_opt_float(payload.get("sigma")),
-            effective_input_bits=_opt_float(
-                payload.get("effective_input_bits")
-            ),
-            effective_mac_bits=_opt_float(payload.get("effective_mac_bits")),
-            baseline_accuracy=_opt_float(payload.get("baseline_accuracy")),
-            validated_accuracy=_opt_float(payload.get("validated_accuracy")),
-            target_accuracy=_opt_float(payload.get("target_accuracy")),
-            meets_constraint=_opt_bool(payload.get("meets_constraint")),
-            degraded=_opt_bool(payload.get("degraded")),
-            bitwidths=(
-                None
-                if bitwidths is None
-                else {str(k): int(v) for k, v in dict(bitwidths).items()}
-            ),
-            failure=(
-                None
-                if failure is None
-                else FailureRecord.from_dict(dict(failure))
-            ),
-            cache_counters={
-                str(k): int(v)
-                for k, v in dict(payload.get("cache_counters", {})).items()
-            },
-        )
-
-
-def _opt_float(value: Any) -> Optional[float]:
-    return None if value is None else float(value)
-
-
-def _opt_bool(value: Any) -> Optional[bool]:
-    return None if value is None else bool(value)
 
 
 # ----------------------------------------------------------------------
@@ -235,11 +187,6 @@ def build_cell_context(
         search_settings=config.search_settings(),
         scheme=config.scheme,
         strict=config.strict,
-        # Per-cell optimizer checkpointing stays off: campaigns resume
-        # at cell granularity via CampaignState, and sharing one
-        # RunState directory across variants would mix incompatible
-        # sigma checkpoints (e.g. scheme1 vs scheme2).
-        state_dir=None,
         parallel=parallel,
         telemetry=(
             telemetry
@@ -266,14 +213,8 @@ def _equal_scheme_optimize(optimizer: Any, objective: str, drop: float) -> Any:
 def cell_config(
     cell: CampaignCell, base_config: "ExperimentConfig"
 ) -> "ExperimentConfig":
-    """The cell's effective experiment configuration.
-
-    The campaign state directory (``state_dir``) is stripped: it
-    identifies the *campaign*, not any single optimizer run.
-    """
-    return cell.variant.apply(
-        replace(base_config, model=cell.model, state_dir="")
-    )
+    """The cell's effective experiment configuration."""
+    return cell.variant.apply(replace(base_config, model=cell.model))
 
 
 def execute_cell(
@@ -343,6 +284,7 @@ def execute_cell(
             meets_constraint=result.meets_constraint,
             degraded=result.degraded,
             bitwidths=dict(result.bitwidths),
+            resumed=result.restored,
             **common,
         )
     if not report.failures:

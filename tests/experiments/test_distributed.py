@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.cache.leases import LeaseSettings, acquire_lease
-from repro.errors import ReproError
+from repro.errors import ReproError, ResumeError
 from repro.experiments import ExperimentConfig, SweepSpec, run_sweep
 from repro.experiments.distributed import (
     DistributedSettings,
@@ -80,7 +80,7 @@ class TestPlan:
     def test_mismatched_plan_refused(self, tmp_path):
         _synthetic_plan(tmp_path)
         other = replace(TINY, seed=999)
-        with pytest.raises(ReproError, match="different sweep"):
+        with pytest.raises(ResumeError, match="different sweep"):
             publish_plan(tmp_path, SPEC, other, synthetic_seconds=0.05)
 
     def test_edited_plan_file_refused(self, tmp_path):
@@ -90,6 +90,26 @@ class TestPlan:
         payload["config"]["seed"] = 4321  # result-determining edit
         plan_file.write_text(json.dumps(payload))
         with pytest.raises(ReproError, match="fingerprint"):
+            load_plan(tmp_path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            # a field this code version does not know, as in plans
+            # written by older versions
+            lambda payload: payload["config"].update(checkpoint="/tmp/x"),
+            lambda payload: payload.pop("spec"),
+            lambda payload: payload.update(config=["lenet"]),
+        ],
+        ids=["unknown-config-field", "missing-spec", "non-dict-config"],
+    )
+    def test_malformed_plan_raises_resume_error(self, tmp_path, edit):
+        _synthetic_plan(tmp_path)
+        plan_file = tmp_path / "sweep-plan.json"
+        payload = json.loads(plan_file.read_text())
+        edit(payload)
+        plan_file.write_text(json.dumps(payload))
+        with pytest.raises(ResumeError, match="sweep-plan.json"):
             load_plan(tmp_path)
 
     def test_missing_plan_is_a_clear_error(self, tmp_path):

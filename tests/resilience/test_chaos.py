@@ -1,16 +1,20 @@
 """End-to-end chaos tests: every degradation path, proven on a real model.
 
 These are the acceptance tests for the resilience layer: a simulated
-crash mid-profiling must be resumable without re-profiling completed
-layers, NaN activations must trip the guardrails, transient evaluator
-faults must be retried, and forced SLSQP failure must degrade to an
-equal-xi allocation tagged ``degraded=True`` instead of raising.
+crash mid-run must resume from the persistent cache without redoing
+finished layers or sigma evaluations, NaN activations must trip the
+guardrails, transient evaluator faults must be retried, and forced
+SLSQP failure must degrade to an equal-xi allocation tagged
+``degraded=True`` instead of raising.
 """
 
+import numpy as np
 import pytest
 
+import repro.engine.campaign as campaign
 from repro.analysis.profiler import ErrorProfiler
 from repro.analysis.sigma_search import Scheme1Evaluator, find_sigma
+from repro.cache import ResultCache
 from repro.config import ProfileSettings, SearchSettings
 from repro.errors import (
     DegradedResultWarning,
@@ -19,29 +23,19 @@ from repro.errors import (
     RetryExhaustedError,
     TransientError,
 )
+from repro.models import build_model, lsuv_calibrate
 from repro.pipeline import PrecisionOptimizer, describe_outcome
 from repro.resilience import (
     ChaosNetwork,
     FaultSchedule,
-    RunState,
     SimulatedCrash,
     broken_solver,
     crash_after_layers,
     flaky,
-    resumable_profile,
 )
 
 SETTINGS = ProfileSettings(num_images=8, num_delta_points=6, seed=99)
 SEARCH = SearchSettings(num_images=64, tolerance=0.05, num_trials=1, seed=99)
-
-
-class CountingProfiler(ErrorProfiler):
-    """Records which layers actually get (re-)profiled."""
-
-    def profile(self, layer_names=None, progress=False):
-        names = list(layer_names or self.network.analyzed_layer_names)
-        self.profiled_layers = getattr(self, "profiled_layers", []) + names
-        return super().profile(names, progress=progress)
 
 
 class TestFaultSchedule:
@@ -162,19 +156,24 @@ class TestTransientRetry:
         assert chaos.transient_schedule.fired == 1
 
 
+def _published_profiles(store):
+    """Per-layer profile entries in a cache directory."""
+    root = store / "objects" / "profile"
+    return {p.name for p in root.rglob("*") if p.is_file()}
+
+
 class TestCrashAndResume:
-    """Acceptance: kill mid-profiling, resume without redoing work."""
+    """Acceptance: kill mid-run, re-run on the same cache, redo nothing."""
 
     def test_crash_then_resume_skips_completed_layers(
-        self, lenet, datasets, tmp_path
+        self, lenet, datasets, tmp_path, monkeypatch
     ):
         __, test = datasets
         layers = lenet.analyzed_layer_names
         assert len(layers) >= 3, "test needs a multi-layer network"
         completed = 2
+        store = tmp_path / "store"
 
-        state = RunState(tmp_path / "run")
-        state.bind(lenet.name)
         chaos = ChaosNetwork(
             lenet,
             crash_schedule=crash_after_layers(
@@ -183,40 +182,44 @@ class TestCrashAndResume:
                 SETTINGS.num_repeats,
             ),
         )
-        profiler = ErrorProfiler(chaos, test.images, settings=SETTINGS)
+        profiler = ErrorProfiler(
+            chaos, test.images, settings=SETTINGS, cache=ResultCache(store)
+        )
         with pytest.raises(SimulatedCrash):
-            resumable_profile(profiler, state)
+            profiler.profile()
+        # every layer that finished before the crash is already stored
+        published = _published_profiles(store)
+        assert len(published) == completed
 
-        # exactly the first `completed` layers were checkpointed
-        assert set(state.load_layer_profiles()) == set(layers[:completed])
-        mtimes = {
-            p.name: p.stat().st_mtime_ns
-            for p in state.profiles_dir.glob("*.npz")
-        }
+        replayed = []
+        real_campaign = campaign.run_layer_campaign
 
-        # resume on a clean (chaos-free) profiler
-        fresh = CountingProfiler(lenet, test.images, settings=SETTINGS)
-        report = resumable_profile(fresh, state)
+        def spy(*args, **kwargs):
+            replayed.append(kwargs["name"])
+            return real_campaign(*args, **kwargs)
+
+        monkeypatch.setattr(campaign, "run_layer_campaign", spy)
+        fresh = ErrorProfiler(
+            lenet, test.images, settings=SETTINGS, cache=ResultCache(store)
+        )
+        report = fresh.profile()
         assert set(report.profiles) == set(layers)
-        # only the unfinished layers were re-profiled...
-        assert fresh.profiled_layers == layers[completed:]
-        # ...and the completed checkpoints were not rewritten
-        for path in state.profiles_dir.glob("*.npz"):
-            if path.name in mtimes:
-                assert path.stat().st_mtime_ns == mtimes[path.name]
+        assert report.cache_hits == completed
+        # only the unfinished layers were replayed...
+        assert replayed == layers[completed:]
+        # ...and only their entries were written (the reference
+        # activations and the finished layers came back from the cache)
+        assert fresh.cache.counters.writes == len(layers) - completed
+        after = _published_profiles(store)
+        assert published < after and len(after) == len(layers)
 
     def test_resumed_profiles_match_uninterrupted_run(
         self, lenet, datasets, tmp_path
     ):
         __, test = datasets
-        state_a = RunState(tmp_path / "a")
-        state_a.bind(lenet.name)
-        clean = resumable_profile(
-            ErrorProfiler(lenet, test.images, settings=SETTINGS), state_a
-        )
+        clean = ErrorProfiler(lenet, test.images, settings=SETTINGS).profile()
 
-        state_b = RunState(tmp_path / "b")
-        state_b.bind(lenet.name)
+        store = tmp_path / "store"
         chaos = ChaosNetwork(
             lenet,
             crash_schedule=crash_after_layers(
@@ -224,68 +227,140 @@ class TestCrashAndResume:
             ),
         )
         with pytest.raises(SimulatedCrash):
-            resumable_profile(
-                ErrorProfiler(chaos, test.images, settings=SETTINGS), state_b
-            )
-        resumed = resumable_profile(
-            ErrorProfiler(lenet, test.images, settings=SETTINGS), state_b
-        )
-        for name in clean.profiles:
-            assert resumed.profiles[name].lam == pytest.approx(
-                clean.profiles[name].lam
-            )
-            assert resumed.profiles[name].theta == pytest.approx(
-                clean.profiles[name].theta
-            )
+            ErrorProfiler(
+                chaos, test.images, settings=SETTINGS, cache=ResultCache(store)
+            ).profile()
+        resumed = ErrorProfiler(
+            lenet, test.images, settings=SETTINGS, cache=ResultCache(store)
+        ).profile()
+        assert resumed.cache_hits == 1
+        for name, expected in clean.profiles.items():
+            got = resumed.profiles[name]
+            assert got.lam == expected.lam
+            assert got.theta == expected.theta
+            assert np.array_equal(got.sigmas, expected.sigmas)
+            assert np.array_equal(got.deltas, expected.deltas)
 
     def test_optimizer_resumes_profile_and_sigma(
         self, lenet, datasets, tmp_path
     ):
+        """A crash mid-sigma-search resumes from the sigma_eval memos."""
         __, test = datasets
-        state_dir = tmp_path / "opt-run"
-        chaos = ChaosNetwork(
-            lenet,
-            crash_schedule=crash_after_layers(
-                2, SETTINGS.num_delta_points, SETTINGS.num_repeats
-            ),
-        )
-        crashed = PrecisionOptimizer(
-            chaos,
-            test,
-            profile_settings=SETTINGS,
-            search_settings=SEARCH,
-            refine=False,
-            state_dir=state_dir,
-        )
-        with pytest.raises(SimulatedCrash):
-            crashed.profile()
-        assert len(crashed.state.load_layer_profiles()) == 2
 
-        resumed = PrecisionOptimizer(
-            lenet,
-            test,
-            profile_settings=SETTINGS,
-            search_settings=SEARCH,
-            refine=False,
-            state_dir=state_dir,
+        def optimizer(network, cache=None):
+            return PrecisionOptimizer(
+                network,
+                test,
+                profile_settings=SETTINGS,
+                search_settings=SEARCH,
+                refine=False,
+                cache=cache,
+            )
+
+        # Count forward events on an uninterrupted run to aim the crash
+        # at the middle of the sigma search.
+        counter = FaultSchedule()
+        probe = optimizer(ChaosNetwork(lenet, crash_schedule=counter))
+        probe.profile()
+        probe.baseline_accuracy()
+        search_start = counter.calls
+        expected = probe.sigma_for_drop(0.05)
+        search_end = counter.calls
+        assert len(expected.evaluations) >= 3
+
+        store = tmp_path / "store"
+        crash_at = (search_start + search_end) // 2
+        crashed = optimizer(
+            ChaosNetwork(lenet, crash_schedule=FaultSchedule.once(crash_at)),
+            cache=store,
         )
+        crashed.profile()
+        crashed.baseline_accuracy()
+        with pytest.raises(SimulatedCrash):
+            crashed.sigma_for_drop(0.05)
+        memos = list((store / "objects" / "sigma_eval").rglob("*.json"))
+        assert 0 < len(memos) < len(expected.evaluations)
+
+        resumed = optimizer(lenet, cache=store)
+        result = resumed.sigma_for_drop(0.05)
+        assert result.sigma == expected.sigma
+        assert result.evaluations == expected.evaluations
+        assert resumed.profile().cache_hits == len(lenet.analyzed_layer_names)
+        # the probes finished before the crash came back from the memos
+        assert result.num_evaluations_saved >= len(memos)
+
         outcome = resumed.optimize("input", accuracy_drop=0.05)
-        assert outcome.sigma_result.sigma > 0
+        assert outcome.sigma_result.sigma == expected.sigma
         assert set(outcome.bitwidths) == set(lenet.analyzed_layer_names)
 
-        # the finished sigma search persisted; a third optimizer loads
-        # it instead of re-searching (its evaluations match exactly)
-        third = PrecisionOptimizer(
-            lenet,
-            test,
-            profile_settings=SETTINGS,
-            search_settings=SEARCH,
-            refine=False,
-            state_dir=state_dir,
-        )
-        stored = third.sigma_for_drop(0.05)
-        assert stored.sigma == outcome.sigma_result.sigma
-        assert stored.evaluations == outcome.sigma_result.evaluations
+
+class TestSharedCacheCannotGoStale:
+    """One cache serves every setting and model without going stale.
+
+    Resume state keyed on the network name alone would hand a changed
+    setting the old result and refuse a second model; cache keys cover
+    every result-determining setting, so both simply miss and compute.
+    """
+
+    def test_changed_profile_points_reprofile(self, lenet, datasets, tmp_path):
+        __, test = datasets
+        store = tmp_path / "store"
+        six = ProfileSettings(num_images=8, num_delta_points=6, seed=99)
+        ten = ProfileSettings(num_images=8, num_delta_points=10, seed=99)
+        ErrorProfiler(
+            lenet, test.images, settings=six, cache=ResultCache(store)
+        ).profile()
+        shared = ErrorProfiler(
+            lenet, test.images, settings=ten, cache=ResultCache(store)
+        ).profile()
+        fresh = ErrorProfiler(lenet, test.images, settings=ten).profile()
+        assert shared.cache_hits == 0
+        for name, expected in fresh.profiles.items():
+            assert len(shared.profiles[name].deltas) == 10
+            assert shared.profiles[name].lam == expected.lam
+            assert shared.profiles[name].theta == expected.theta
+
+    def test_changed_scheme_searches_again(self, lenet, datasets, tmp_path):
+        __, test = datasets
+        store = tmp_path / "store"
+
+        def sigma(scheme, cache=None):
+            return PrecisionOptimizer(
+                lenet,
+                test,
+                profile_settings=SETTINGS,
+                search_settings=SEARCH,
+                scheme=scheme,
+                refine=False,
+                cache=cache,
+            ).sigma_for_drop(0.05)
+
+        scheme1 = sigma("scheme1", cache=store)
+        shared = sigma("scheme2", cache=store)
+        fresh = sigma("scheme2")
+        # the two schemes disagree here, so reuse would show
+        assert fresh.sigma != scheme1.sigma
+        assert shared.sigma == fresh.sigma
+        assert shared.evaluations == fresh.evaluations
+
+    def test_two_models_share_one_cache(
+        self, lenet, source, datasets, tmp_path
+    ):
+        train, test = datasets
+        other = build_model("lenet", num_classes=source.num_classes, seed=7)
+        lsuv_calibrate(other, train.images[:32])
+        store = tmp_path / "store"
+        ErrorProfiler(
+            lenet, test.images, settings=SETTINGS, cache=ResultCache(store)
+        ).profile()
+        shared = ErrorProfiler(
+            other, test.images, settings=SETTINGS, cache=ResultCache(store)
+        ).profile()
+        fresh = ErrorProfiler(other, test.images, settings=SETTINGS).profile()
+        assert shared.cache_hits == 0
+        for name, expected in fresh.profiles.items():
+            assert shared.profiles[name].lam == expected.lam
+            assert np.array_equal(shared.profiles[name].sigmas, expected.sigmas)
 
 
 class TestSolverDegradation:

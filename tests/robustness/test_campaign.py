@@ -2,8 +2,9 @@
 
 The acceptance tests for ``repro ablate``: an injected chaos crash in
 one matrix cell must become a structured ``failed`` row while every
-other cell completes bit-identically to a clean run, and ``--resume``
-must re-execute only the failed cell.
+other cell completes bit-identically to a clean run, and re-running on
+the same cache directory must restore every cached outcome and
+re-execute only the crashed cell (and cells that cannot be cached).
 """
 
 from dataclasses import replace
@@ -15,7 +16,6 @@ from repro.experiments import (
     AblationSpec,
     ExperimentConfig,
     build_campaign_cells,
-    campaign_fingerprint,
     run_ablation_campaign,
 )
 from repro.resilience import SimulatedCrash
@@ -41,6 +41,7 @@ def _comparable(row):
     payload = row.as_dict()
     payload.pop("elapsed_seconds")
     payload.pop("cache_counters")
+    payload.pop("resumed")
     return payload
 
 
@@ -50,20 +51,22 @@ def clean_report():
 
 
 @pytest.fixture(scope="module")
-def chaos_state(tmp_path_factory):
-    return str(tmp_path_factory.mktemp("campaign-state"))
+def cached_config(tmp_path_factory):
+    store = tmp_path_factory.mktemp("campaign-cache")
+    return replace(TINY, cache_dir=str(store))
 
 
 @pytest.fixture(scope="module")
-def chaos_report(chaos_state):
+def chaos_report(cached_config):
     spec = replace(SPEC, chaos_cells=(CHAOS_CELL,))
-    return run_ablation_campaign(spec, config=TINY, state_dir=chaos_state)
+    return run_ablation_campaign(spec, config=cached_config)
 
 
 @pytest.fixture(scope="module")
-def resumed_report(chaos_report, chaos_state):
-    # Same campaign, chaos removed: only the crashed cell re-runs.
-    return run_ablation_campaign(SPEC, config=TINY, state_dir=chaos_state)
+def resumed_report(chaos_report, cached_config):
+    # Same campaign on the same cache, chaos removed: the baseline's
+    # outcome is restored, only the crashed cell re-runs.
+    return run_ablation_campaign(SPEC, config=cached_config)
 
 
 class TestCellGrid:
@@ -96,40 +99,6 @@ class TestCellGrid:
             build_campaign_cells(
                 replace(SPEC, chaos_cells=("component/nope/lenet",)), TINY
             )
-
-    def test_fingerprint_ignores_chaos_and_state_dir(self):
-        base = campaign_fingerprint(SPEC, TINY)
-        with_chaos = campaign_fingerprint(
-            replace(SPEC, chaos_cells=(CHAOS_CELL,)), TINY
-        )
-        other_state = campaign_fingerprint(
-            SPEC, replace(TINY, state_dir="/elsewhere")
-        )
-        assert base == with_chaos == other_state
-
-    def test_fingerprint_ignores_observability_knobs(self):
-        # Monitoring toggles never change what is measured, so they
-        # must not refuse a resume.
-        base = campaign_fingerprint(SPEC, TINY)
-        observed = campaign_fingerprint(
-            SPEC,
-            replace(
-                TINY,
-                telemetry=True,
-                trace_out="/tmp/trace.jsonl",
-                events_dir="/tmp/events",
-            ),
-        )
-        assert base == observed
-
-    def test_fingerprint_tracks_the_grid_and_config(self):
-        base = campaign_fingerprint(SPEC, TINY)
-        assert base != campaign_fingerprint(
-            replace(SPEC, accuracy_drop=0.01), TINY
-        )
-        assert base != campaign_fingerprint(
-            SPEC, replace(TINY, seed=TINY.seed + 1)
-        )
 
 
 class TestCleanCampaign:
@@ -193,7 +162,8 @@ class TestResume:
         ]
         assert resumed_report.executed_cell_ids == [CHAOS_CELL]
 
-    def test_ok_rows_loaded_as_resumed(self, resumed_report):
+    def test_ok_rows_loaded_as_resumed(self, chaos_report, resumed_report):
+        assert not any(r.resumed for r in chaos_report.rows)
         by_id = {r.cell_id: r for r in resumed_report.rows}
         assert by_id["component/baseline/lenet"].resumed
         assert not by_id[CHAOS_CELL].resumed
@@ -204,12 +174,30 @@ class TestResume:
         assert resumed_report.num_failed == 0
         clean = {r.cell_id: r for r in clean_report.rows}
         for row in resumed_report.rows:
-            expected = dict(_comparable(clean[row.cell_id]))
-            actual = dict(_comparable(row))
             # resume marks reused rows; the measurement must not move
-            actual.pop("resumed", None)
-            expected.pop("resumed", None)
-            assert actual == expected
+            assert _comparable(row) == _comparable(clean[row.cell_id])
+
+    def test_only_crashed_and_uncached_cells_reexecute(self, tmp_path):
+        spec = AblationSpec(models=("lenet",), components=("cache", "scheme"))
+        crashed_cell = "component/scheme:scheme2/lenet"
+        config = replace(TINY, cache_dir=str(tmp_path / "store"))
+        crashed = run_ablation_campaign(
+            replace(spec, chaos_cells=(crashed_cell,)), config=config
+        )
+        assert [r.cell_id for r in crashed.rows if r.status == "failed"] == [
+            crashed_cell
+        ]
+        resumed = run_ablation_campaign(spec, config=config)
+        assert resumed.num_failed == 0
+        assert resumed.executed_cell_ids == [
+            "component/cache:off/lenet",
+            crashed_cell,
+        ]
+        clean = {
+            r.cell_id: _comparable(r)
+            for r in run_ablation_campaign(spec, config=TINY).rows
+        }
+        assert {r.cell_id: _comparable(r) for r in resumed.rows} == clean
 
 
 class TestStrictMode:
@@ -261,12 +249,11 @@ class TestCampaignEvents:
         return read_bus_events(path)
 
     def test_chaos_then_resume_stream_lifecycle(self, tmp_path):
-        state = str(tmp_path / "state")
+        config = replace(TINY, cache_dir=str(tmp_path / "store"))
         spec = replace(SPEC, chaos_cells=(CHAOS_CELL,))
         run_ablation_campaign(
             spec,
-            config=replace(TINY, events_dir=str(tmp_path / "chaos")),
-            state_dir=state,
+            config=replace(config, events_dir=str(tmp_path / "chaos")),
         )
         events = self._events(tmp_path / "chaos")
         run_events = [e for e in events if e["type"] == "run"]
@@ -292,12 +279,11 @@ class TestCampaignEvents:
         ]
         assert baseline[-1]["attrs"]["elapsed_seconds"] >= 0
 
-        # Resume (chaos removed): the ok row restores as a cached hit,
-        # only the crashed cell runs again.
+        # Resume (chaos removed, same cache): the ok row's outcome
+        # restores as a cached hit, only the crashed cell runs again.
         run_ablation_campaign(
             SPEC,
-            config=replace(TINY, events_dir=str(tmp_path / "resume")),
-            state_dir=state,
+            config=replace(config, events_dir=str(tmp_path / "resume")),
         )
         resumed = self._events(tmp_path / "resume")
         by_cell = {}
@@ -306,9 +292,9 @@ class TestCampaignEvents:
                 by_cell.setdefault(event["name"], []).append(event)
         baseline = by_cell["component/baseline/lenet"]
         assert [e["event"] for e in baseline] == [
-            "queued", "cached-hit", "done",
+            "queued", "running", "cached-hit", "done",
         ]
-        assert baseline[1]["attrs"]["resumed"] is True
+        assert baseline[2]["attrs"]["resumed"] is True
         assert [e["event"] for e in by_cell[CHAOS_CELL]] == [
             "queued", "running", "done",
         ]

@@ -43,14 +43,12 @@ class TestParser:
 
     def test_resilience_flags_default_off(self):
         args = build_parser().parse_args(["optimize"])
-        assert args.resume == ""
         assert args.strict is False
+        # resuming is re-running on the same --cache-dir; no extra flag
+        assert not hasattr(args, "resume")
 
     def test_resilience_flags_parse(self):
-        args = build_parser().parse_args(
-            ["optimize", "--resume", "/tmp/run", "--strict"]
-        )
-        assert args.resume == "/tmp/run"
+        args = build_parser().parse_args(["optimize", "--strict"])
         assert args.strict is True
 
     def test_sweep_keep_going_flag(self):
@@ -98,18 +96,24 @@ class TestCommands:
         assert code == 0
         assert "constraint met" in out
 
-    def test_optimize_with_resume_populates_state(self, capsys, tmp_path):
-        state = tmp_path / "run-state"
-        args = ["optimize", "--drop", "0.05", "--resume", str(state)] + FAST
-        assert main(args) == 0
-        first = capsys.readouterr().out
-        assert (state / "manifest.json").exists()
-        assert list((state / "profiles").glob("*.npz"))
-        assert list((state / "sigma").glob("drop_*.json"))
-        # a second run resumes from the checkpoints and agrees
-        assert main(args) == 0
-        second = capsys.readouterr().out
-        assert first == second
+    def test_optimize_rerun_on_same_cache_dir_resumes(self, capsys, tmp_path):
+        from repro.experiments.common import clear_context_cache
+
+        store = tmp_path / "store"
+        args = ["optimize", "--drop", "0.05", "--cache-dir", str(store)] + FAST
+
+        def run():
+            clear_context_cache()  # a fresh process would start cold
+            assert main(args) == 0
+            lines = capsys.readouterr().out.splitlines()
+            return [line for line in lines if not line.startswith("cache ")]
+
+        first = run()
+        objects = store / "objects"
+        for namespace in ("profile", "sigma_eval", "outcome"):
+            assert list((objects / namespace).rglob("*")), namespace
+        # a second run restores from the cache and agrees
+        assert run() == first
 
     def test_ablate_smoke_with_chaos_and_report(self, capsys, tmp_path):
         out_path = tmp_path / "ablate.json"
