@@ -5,10 +5,11 @@ through four execution paths and writes ``BENCH_profiler.json``:
 
 * ``legacy``      — the pre-engine serial loop (``use_engine=False``):
                     one ``forward_from`` replay per (layer, delta,
-                    repeat, batch) trial.
+                    repeat, batch) trial, through ``layer.forward``
+                    (the same layer kernels on fresh buffers).
 * ``engine``      — the injection engine with ``trial_batch=1``
-                    (replay plans + fast kernels, no multi-trial
-                    stacking).
+                    (replay plans + kernels on reused buffers, no
+                    multi-trial stacking).
 * ``vectorized``  — the engine with its default trial batching: R
                     noise draws stacked along the batch axis per
                     ``forward_from_many`` replay.
@@ -24,7 +25,8 @@ Timing is best-of-``--repeats`` wall clock: the hosts this runs on
 share cores, and the minimum is the standard noise-robust estimator.
 Note that on a single-core host the ``jobs`` row cannot beat
 ``vectorized`` — the speedup evidence there is carried by replay
-planning + vectorization + fused kernels.
+planning, vectorization and buffer reuse.  Every path runs the same
+layer kernels (:mod:`repro.nn.kernels`).
 
 Run ``python benchmarks/bench_profiler_scaling.py --help`` for knobs;
 ``make bench-profiler`` runs the full AlexNet/NiN configuration.
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -213,6 +216,7 @@ def main(argv=None) -> int:
     payload = {
         "benchmark": "profiler_scaling",
         "smoke": args.smoke,
+        "cpu_count": os.cpu_count(),
         "manifest": manifest.as_dict(),
         "results": results,
     }

@@ -116,7 +116,10 @@ class ParallelSettings:
     #: Retries for worker tasks that fail with a TransientError before
     #: the failure is surfaced as a ProfilingError.
     transient_retries: int = 2
-    #: Use the engine's fast bitwise-faithful kernels during replay.
+    #: Replay through :func:`repro.engine.kernels.make_forward_fn`
+    #: (reused buffers, GEMMs sliced per trial).  ``False`` replays
+    #: through ``layer.forward``: the same kernels on fresh buffers,
+    #: with no per-trial GEMM slicing.  Results are identical.
     fast_kernels: bool = True
     #: Raise glibc's mmap/trim thresholds once per process so large
     #: replay temporaries recycle freed arenas instead of paying a page

@@ -3,8 +3,8 @@
 The profiler's Sec. V-A measurement loop is the repo's dominant cost;
 this package makes it a first-class batched workload:
 
-* :mod:`~repro.engine.kernels` — bitwise-faithful fast kernels for the
-  replay-hot layers (fused-GEMM conv, strided 2x2 max pool).
+* :mod:`~repro.engine.kernels` — the replay forward: the layer kernels
+  of :mod:`repro.nn.kernels` on reused buffers, GEMMs sliced per trial.
 * :mod:`~repro.engine.campaign` — :class:`InjectionEngine`, the
   vectorized campaign runner with per-trial seed-sequence streams,
   trial batching, and layer-level worker pools.
@@ -20,6 +20,7 @@ Architecture, determinism contract, knobs, and measured speedups:
 """
 
 from ..config import ParallelSettings
+from ..nn.kernels import KernelScratch, fused_im2col
 from .alloc import tune_allocator
 from .campaign import (
     CampaignResult,
@@ -28,12 +29,7 @@ from .campaign import (
     enforce_finite_trial,
     run_layer_campaign,
 )
-from .kernels import (
-    KernelScratch,
-    fast_forward,
-    fused_im2col,
-    make_forward_fn,
-)
+from .kernels import make_forward_fn
 from .parallel import SharedCaches
 from .rng import trial_rng, trial_seed_sequence
 from .timing import StageTimings
@@ -47,7 +43,6 @@ __all__ = [
     "SharedCaches",
     "StageTimings",
     "enforce_finite_trial",
-    "fast_forward",
     "fused_im2col",
     "make_forward_fn",
     "run_layer_campaign",

@@ -9,7 +9,7 @@ three structural speedups over the naive loop:
    closure of each start layer is computed once, not per trial.
 2. **Multi-trial batching** (:meth:`Network.forward_from_many`):
    ``trial_batch`` noise draws stack along the batch axis and replay in
-   one pass through bitwise-faithful fast kernels
+   one pass through the layer kernels on reused buffers
    (:mod:`repro.engine.kernels`), so R replays share each layer's
    im2col/GEMM setup.
 3. **A worker pool across layers** (thread by default, shared-memory
@@ -36,13 +36,14 @@ from ..cache import ResultCache, array_digest, make_key, network_digest
 from ..config import ParallelSettings
 from ..errors import ProfilingError, ReproError, RetryExhaustedError, TransientError
 from ..nn.graph import ActivationCache, Network
+from ..nn.kernels import KernelScratch
 from ..resilience.guards import Diagnostic, check_finite_array, enforce
 from ..sanitize import fp_guard
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.session import Telemetry
 from ..telemetry.spans import NULL_TRACER, Span, Tracer
 from .alloc import tune_allocator
-from .kernels import KernelScratch, fast_forward, make_forward_fn
+from .kernels import make_forward_fn
 from .rng import trial_rng
 from .timing import StageTimings
 
@@ -297,16 +298,12 @@ class InjectionEngine:
             tracer=telemetry.tracer if telemetry.enabled else None
         )
         settings = self.parallel
-        # The stateless variant allocates fresh outputs per call: the
-        # reference activations live in the caches for the whole
-        # campaign, so they must never alias a reused scratch buffer.
-        forward_fn = fast_forward if settings.fast_kernels else None
         positions = {
             layer.name: index
             for index, layer in enumerate(self.network.layers)
         }
         with _observed_stage(telemetry, timings, "reference"):
-            caches = self._reference_caches(images, batch_size, forward_fn)
+            caches = self._reference_caches(images, batch_size)
         with _observed_stage(telemetry, timings, "plan"):
             for name in names:
                 self.network.replay_plan(name)
@@ -376,25 +373,21 @@ class InjectionEngine:
         self,
         images: np.ndarray,
         batch_size: int,
-        forward_fn: Optional[Callable[..., Any]],
     ) -> List[ActivationCache]:
         """Clean per-batch activation caches, persisted when caching.
 
         A batch's activations are a pure function of (network bits,
-        batch images) — the fast kernels are bitwise-faithful, so the
-        kernel path stays out of the key.  Cache hits return read-only
-        mmap views; downstream replay only reads reference activations,
-        so zero-copy restore is safe.
+        batch images).  Every layer forward allocates fresh outputs, so
+        the cached activations never alias a replay scratch buffer.
+        Cache hits return read-only mmap views; downstream replay only
+        reads reference activations, so zero-copy restore is safe.
         """
         batches = [
             images[start : start + batch_size]
             for start in range(0, images.shape[0], batch_size)
         ]
         if self.cache is None:
-            return [
-                self.network.run_all(batch, forward_fn=forward_fn)
-                for batch in batches
-            ]
+            return [self.network.run_all(batch) for batch in batches]
         net_digest = network_digest(self.network)
         caches: List[ActivationCache] = []
         for batch in batches:
@@ -409,7 +402,7 @@ class InjectionEngine:
             if entry is not None:
                 caches.append(ActivationCache(dict(entry)))
                 continue
-            cache = self.network.run_all(batch, forward_fn=forward_fn)
+            cache = self.network.run_all(batch)
             self.cache.put_arrays(
                 "activations",
                 key,

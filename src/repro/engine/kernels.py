@@ -1,404 +1,64 @@
-"""Bitwise-faithful fast kernels for replay-heavy layers.
+"""The replay forward: the layer kernels with reused buffers and stacking.
 
-The injection campaign replays the same downstream closures tens of
-thousands of times, so the per-pass constant factors of the substrate
-layers dominate end-to-end profiling time.  This module provides
-drop-in replacements for the hottest layer forwards that compute the
-**exact same float64 results, bit for bit** — they reorganize memory
-traffic, never arithmetic:
+Every layer forward already runs the kernels of :mod:`repro.nn.kernels`
+(fused-GEMM convolution, strided 2x2 max pool, in-place LRN).  Injection
+replay calls the same functions directly, with two differences that
+only change speed, never bits:
 
-* ``Conv2D`` (dense and grouped): the stock path materializes sliding
-  windows twice (``extract_windows`` copy + ``im2col`` transpose copy)
-  and then runs one skinny GEMM per sample.  Here the windows are
-  gathered once, directly into the ``(C*k*k, N*P)`` layout a single
-  fused GEMM consumes.  Every output element is the same dot product
-  over the same operand order, but BLAS may *accumulate* it in a
-  different order depending on which n-microkernel a column lands in:
-  columns whose index modulo the microkernel width (8 on every dgemm
-  build we target) differs between the fused and the per-sample call
-  can differ in the last bit.  When the spatial position count ``P``
-  is a multiple of 8, every sample's columns occupy whole microtiles
-  at the same phase in both calls, and the results are bitwise equal
-  (``tests/engine/test_kernels.py`` asserts this; the alignment rule
-  was mapped empirically across shapes).  Convolutions with
-  non-conforming ``P`` fall back to the stock path.  Every model-zoo
-  convolution conforms, so the fast path always fires in practice;
-  grouped convolutions (AlexNet conv2/4/5) benefit the most because
-  their per-sample GEMMs are far too small to amortize BLAS setup.
-* ``MaxPool2D`` with non-overlapping 2x2 windows (every pool in the
-  model zoo): a reshape plus three ``np.maximum`` calls replaces the
-  generic 6-D window reduction (~10x).
-* ``LRN``: the stock path pads with explicit zero channels and
-  concatenates shifted cumulative sums.  Adding a leading ``+0.0`` to
-  an IEEE sum is exact and ``x*x`` never produces ``-0.0``, so the
-  padded cumulative sums equal clipped unpadded ones bit for bit; the
-  fast path exploits that, runs every elementwise step in place, and
-  keeps the ``** beta`` ``pow`` calls (which cannot be reorganized)
-  untouched.
-* ``Dense``: the stock GEMM, sliced per trial group (see below) and
-  written into a reused buffer.
-* ``ReLU``: same ``np.maximum(x, 0.0)``, written into a reused buffer.
+* **Scratch reuse.**  One :class:`~repro.nn.kernels.KernelScratch` per
+  layer campaign: every replay chunk rewrites the same (layer, role)
+  buffers, which removes allocator churn on the hot path.  A buffer is
+  only reused after the chunk that produced it has been consumed.
+* **Per-trial GEMM slicing.**  ``trial_groups`` tells the GEMM-backed
+  kernels how many trials the batch axis stacks
+  (:meth:`Network.forward_from_many`), so each BLAS call keeps the
+  unstacked operand shapes and the result cannot depend on the
+  ``trial_batch`` setting.
 
-**Shape stability.** BLAS picks kernels (and therefore accumulation
-orders) by operand size, so a GEMM over a trial-stacked batch is not
-guaranteed to reproduce the unstacked bits.  Every GEMM-backed fast
-kernel therefore slices a stacked batch back into per-trial-group
-calls (``trial_groups`` in :func:`make_forward_fn`): each BLAS call
-has shapes independent of the ``trial_batch`` setting, which is what
-makes vectorized replay bit-identical to serial replay for any
-chunking.  The slicing costs only Python loop overhead — the per-trial
-GEMMs are the same total FLOPs and were measured no slower than one
-large GEMM on the shapes the campaigns run.
-
-Campaign replays additionally reuse their large intermediates through
-:class:`KernelScratch`: the same (layer, role) buffer is written on
-every replay chunk, which removes allocator churn and keeps the TLB
-and cache footprint constant.  A buffer is only ever reused after the
-chunk that produced it has been fully consumed, so aliasing is safe.
-
-Everything else falls back to ``layer.forward``.
-
-The faithfulness contract is enforced by ``tests/engine/test_kernels.py``,
-which asserts ``np.array_equal`` against ``layer.forward`` across the
-model zoo.
+Because replay calls the kernels rather than ``layer.forward``, the
+per-layer ``nn.*`` spans of a traced run keep measuring the forwards
+outside replay.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ..nn.kernels import KernelScratch, conv2d, dense, lrn, max_pool, relu
 from ..nn.layer import Layer
 from ..nn.layers.activation import ReLU
 from ..nn.layers.conv import Conv2D
 from ..nn.layers.dense import Dense
 from ..nn.layers.norm import LRN
 from ..nn.layers.pool import MaxPool2D
-from ..nn.tensor import conv_output_hw, flatten_spatial, pad_nchw
-
-
-class KernelScratch:
-    """Reusable per-campaign buffers keyed by (layer, role[, group]).
-
-    One instance per layer campaign (and therefore per worker): buffers
-    are never shared across threads or processes.  Keys are unique per
-    layer, so a buffer is only rewritten when the previous replay chunk
-    that filled it is already dead.
-    """
-
-    def __init__(self) -> None:
-        self._buffers: Dict[Tuple, np.ndarray] = {}
-
-    def get(self, key: Tuple, shape: Tuple[int, ...]) -> np.ndarray:
-        buffer = self._buffers.get(key)
-        if buffer is None or buffer.shape != shape:
-            buffer = np.empty(shape, dtype=np.float64)
-            self._buffers[key] = buffer
-        return buffer
-
-    def zeros(self, key: Tuple, shape: Tuple[int, ...]) -> np.ndarray:
-        """A zeroed buffer; only zeroed on (re)allocation.
-
-        Used for padded inputs: the border stays zero forever because
-        every reuse writes only the interior.
-        """
-        buffer = self._buffers.get(key)
-        if buffer is None or buffer.shape != shape:
-            buffer = np.zeros(shape, dtype=np.float64)
-            self._buffers[key] = buffer
-        return buffer
-
-
-def fused_im2col(
-    x: np.ndarray,
-    kernel: int,
-    stride: int,
-    padding: int,
-    scratch: Optional[KernelScratch] = None,
-    key: Tuple = (),
-) -> np.ndarray:
-    """Unfold an NCHW batch into one GEMM-ready ``(C*k*k, N*P)`` matrix.
-
-    Column order groups all spatial positions of sample 0, then sample
-    1, ...; row order is (channel, kh, kw) — the same dot-product
-    operand order as :func:`repro.nn.tensor.im2col`, so a single fused
-    GEMM over all samples reproduces the per-sample GEMMs bitwise.
-    Unlike ``im2col`` this makes exactly one copy (the strided gather
-    lands directly in the target layout), and 1x1/stride-1 convolutions
-    (NiN, inception bottlenecks) reduce to a plain transpose.
-    """
-    scratch = scratch or KernelScratch()
-    if kernel == 1 and stride == 1 and padding == 0:
-        n, c, h, w = x.shape
-        cols = scratch.get(key + ("cols",), (c, n * h * w))
-        np.copyto(
-            cols.reshape(c, n, h * w),
-            x.reshape(n, c, h * w).transpose(1, 0, 2),
-        )
-        return cols
-    if padding > 0:
-        n, c, h, w = x.shape
-        padded = scratch.zeros(
-            key + ("pad",), (n, c, h + 2 * padding, w + 2 * padding)
-        )
-        padded[:, :, padding : padding + h, padding : padding + w] = x
-        x = padded
-    n, c, h, w = x.shape
-    out_h, out_w = conv_output_hw(h, w, kernel, stride, 0)
-    sn, sc, sh, sw = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(c, kernel, kernel, n, out_h, out_w),
-        strides=(sc, sh, sw, sn, sh * stride, sw * stride),
-        writeable=False,
-    )
-    cols = scratch.get(
-        key + ("cols",), (c, kernel, kernel, n, out_h, out_w)
-    )
-    np.copyto(cols, windows)
-    return cols.reshape(c * kernel * kernel, n * out_h * out_w)
-
-
-def _conv_fused(
-    layer: Conv2D,
-    x: np.ndarray,
-    scratch: KernelScratch,
-    trial_groups: int = 1,
-) -> np.ndarray:
-    """Fused-GEMM convolution, bitwise equal to ``Conv2D.forward``.
-
-    When the batch axis stacks ``trial_groups`` independent trials
-    (:meth:`Network.forward_from_many`), each trial's slice runs
-    through its own gather + GEMM so every BLAS call has the exact
-    shapes the unstacked path uses — BLAS kernel dispatch depends on
-    operand sizes, so shape-stable calls are what makes the stacked
-    replay bit-identical to the one-trial-at-a-time replay.
-    """
-    n = x.shape[0]
-    out_c, out_h, out_w = layer.output_shape
-    positions = out_h * out_w
-    name = layer.name
-    out = scratch.get((name, "out"), (n, out_c, out_h, out_w))
-    out3 = out.reshape(n, out_c, positions)
-    if (
-        layer.kernel == 1
-        and layer.stride == 1
-        and layer.padding == 0
-        and layer.groups == 1
-    ):
-        # 1x1 convolution: im2col of the input IS the input, so the
-        # stock batched matmul consumes x directly — no gather, no
-        # output transpose, and trivially stacking-safe because the
-        # GEMMs are per sample either way.
-        np.matmul(
-            layer.weight.reshape(out_c, -1)[None, :, :],
-            x.reshape(n, x.shape[1], positions),
-            out=out3,
-        )
-        if layer.bias is not None:
-            out += layer.bias[None, :, None, None]
-        return out
-    splits = trial_groups if trial_groups > 1 and n % trial_groups == 0 else 1
-    per_trial = n // splits
-    in_per_group = layer.weight.shape[1]
-    out_per_group = out_c // layer.groups
-    # The bias add is fused into the untranspose copy (one addition
-    # per element, same operands as the stock matmul-then-add, so the
-    # bits match while a full read+write pass over the output is
-    # saved).
-    bias = None
-    if layer.bias is not None:
-        bias = layer.bias[:, None]
-    for t in range(splits):
-        rows = slice(t * per_trial, (t + 1) * per_trial)
-        x_t = x[rows]
-        if layer.groups == 1:
-            cols = fused_im2col(
-                x_t, layer.kernel, layer.stride, layer.padding, scratch, (name,)
-            )
-            flat = scratch.get((name, "flat"), (out_c, cols.shape[1]))
-            np.matmul(layer.weight.reshape(out_c, -1), cols, out=flat)
-            result = flat.reshape(out_c, per_trial, positions).transpose(
-                1, 0, 2
-            )
-            if bias is not None:
-                np.add(result, bias, out=out3[rows])
-            else:
-                np.copyto(out3[rows], result)
-            continue
-        for g in range(layer.groups):
-            # A strided channel-slice view: both the pad copy and the
-            # as_strided gather read through arbitrary strides, so no
-            # contiguity copy is needed.
-            x_g = x_t[:, g * in_per_group : (g + 1) * in_per_group]
-            cols = fused_im2col(
-                x_g,
-                layer.kernel,
-                layer.stride,
-                layer.padding,
-                scratch,
-                (name, "g"),
-            )
-            channels = slice(g * out_per_group, (g + 1) * out_per_group)
-            flat = scratch.get(
-                (name, "flat"), (out_per_group, cols.shape[1])
-            )
-            np.matmul(layer.weight[channels].reshape(out_per_group, -1), cols, out=flat)
-            result = flat.reshape(out_per_group, per_trial, positions).transpose(
-                1, 0, 2
-            )
-            if bias is not None:
-                np.add(result, bias[channels], out=out3[rows, channels])
-            else:
-                np.copyto(out3[rows, channels], result)
-    return out
-
-
-def _dense_sliced(
-    layer: Dense,
-    x: np.ndarray,
-    scratch: KernelScratch,
-    trial_groups: int = 1,
-) -> np.ndarray:
-    """Dense forward with per-trial GEMM slicing (see ``_conv_fused``).
-
-    The stock path runs one ``(N, in) @ (in, out)`` GEMM over the whole
-    (possibly trial-stacked) batch; BLAS picks kernels by operand size,
-    so the stacked result is not guaranteed to match the unstacked one
-    bit for bit.  Slicing the stack back into per-trial GEMMs restores
-    the exact call shapes of the unstacked path.
-    """
-    x = flatten_spatial(x)
-    n = x.shape[0]
-    name = layer.name
-    out = scratch.get((name, "out"), (n, layer.out_features))
-    splits = trial_groups if trial_groups > 1 and n % trial_groups == 0 else 1
-    per_trial = n // splits
-    weight_t = layer.weight.T
-    for t in range(splits):
-        rows = slice(t * per_trial, (t + 1) * per_trial)
-        np.matmul(x[rows], weight_t, out=out[rows])
-    if layer.bias is not None:
-        out += layer.bias
-    return out
-
-
-def _maxpool_2x2(
-    x: np.ndarray, scratch: KernelScratch, name: str
-) -> np.ndarray:
-    """Non-overlapping 2x2 max pool via four strided slices."""
-    n, c, h, w = x.shape
-    v = x.reshape(n, c, h // 2, 2, w // 2, 2)
-    out = scratch.get((name, "out"), (n, c, h // 2, w // 2))
-    tmp = scratch.get((name, "tmp"), (n, c, h // 2, w // 2))
-    np.maximum(v[:, :, :, 0, :, 0], v[:, :, :, 0, :, 1], out=out)
-    np.maximum(v[:, :, :, 1, :, 0], v[:, :, :, 1, :, 1], out=tmp)
-    np.maximum(out, tmp, out=out)
-    return out
-
-
-def _lrn_fast(
-    layer: LRN, x: np.ndarray, scratch: KernelScratch
-) -> np.ndarray:
-    """In-place LRN, bitwise equal to ``LRN.forward``.
-
-    The stock path cumulative-sums a zero-padded channel axis.  Because
-    ``x*x`` is never ``-0.0`` and IEEE addition of a leading/trailing
-    ``+0.0`` is exact, the padded cumulative sums equal the unpadded
-    ones (index-clipped at the top); the window sums, the ``** beta``,
-    and the final divide are then the very same elementwise operations
-    as the stock path, executed into reused buffers.
-    """
-    name = layer.name
-    half = layer.local_size // 2
-    channels = x.shape[1]
-    squared = scratch.get((name, "sq"), x.shape)
-    np.multiply(x, x, out=squared)
-    cumulative = scratch.get((name, "cum"), x.shape)
-    np.cumsum(squared, axis=1, out=cumulative)
-    window = scratch.get((name, "win"), x.shape)
-    # upper[c] = cumulative[min(c + half, C-1)]: two slice copies beat
-    # the equivalent fancy-indexed np.take.
-    split = max(channels - half, 0)
-    window[:, :split] = cumulative[:, half:]
-    window[:, split:] = cumulative[:, channels - 1 : channels]
-    # lower[c] = cumulative[c - half - 1] where it exists, else exact 0.
-    window[:, half + 1 :] -= cumulative[:, : channels - half - 1]
-    window *= layer.alpha / layer.local_size
-    window += layer.k
-    np.power(window, layer.beta, out=window)
-    np.divide(x, window, out=window)
-    return window
 
 
 def make_forward_fn(
     scratch: Optional[KernelScratch] = None,
     trial_groups: int = 1,
 ) -> Callable[[Layer, Sequence[np.ndarray]], np.ndarray]:
-    """A ``ForwardFn`` routing hot layers through the fast kernels.
+    """A ``ForwardFn`` running the layer kernels on reused buffers.
 
-    With a :class:`KernelScratch`, large intermediates are reused
-    across calls; the caller must guarantee single-threaded use of the
-    returned function (one scratch per campaign/worker does).
-
-    ``trial_groups`` declares how many independent trials the batch
-    axis stacks (``forward_from_many``): GEMM-backed layers slice the
-    stack so every BLAS call keeps the unstacked operand shapes, which
-    is what makes stacked replay bit-identical to serial replay.
+    The caller must guarantee single-threaded use of the returned
+    function (one scratch per campaign/worker does).  Outputs alias the
+    scratch, so they are only valid until the next call for the same
+    layer.
     """
     scratch = scratch or KernelScratch()
 
     def forward(layer: Layer, arrays: Sequence[np.ndarray]) -> np.ndarray:
         if isinstance(layer, Conv2D):
-            # Depthwise convolutions keep their einsum path: the
-            # fused-GEMM layout does not apply to (C, 1, k, k) weights.
-            # The position count must be microtile-aligned (see module
-            # docstring) for the fused GEMM to be bitwise faithful;
-            # plain 1x1 convolutions are exempt because their fast path
-            # runs the stock per-sample batched matmul.
-            positions = layer.output_shape[1] * layer.output_shape[2]
-            plain_1x1 = (
-                layer.kernel == 1
-                and layer.stride == 1
-                and layer.padding == 0
-                and layer.groups == 1
-            )
-            if (positions % 8 == 0 or plain_1x1) and not (
-                layer.groups == arrays[0].shape[1]
-                and layer.weight.shape[1] == 1
-            ):
-                return _conv_fused(layer, arrays[0], scratch, trial_groups)
-        elif isinstance(layer, Dense):
-            return _dense_sliced(layer, arrays[0], scratch, trial_groups)
-        elif isinstance(layer, MaxPool2D):
-            (x,) = arrays
-            if (
-                layer.kernel == 2
-                and layer.stride == 2
-                and layer.padding == 0
-                and x.shape[2] % 2 == 0
-                and x.shape[3] % 2 == 0
-            ):
-                return _maxpool_2x2(x, scratch, layer.name)
-        elif isinstance(layer, LRN):
-            return _lrn_fast(layer, arrays[0], scratch)
-        elif isinstance(layer, ReLU):
-            out = scratch.get((layer.name, "out"), arrays[0].shape)
-            np.maximum(arrays[0], 0.0, out=out)
-            return out
+            return conv2d(layer, arrays[0], scratch, trial_groups)
+        if isinstance(layer, Dense):
+            return dense(layer, arrays[0], scratch, trial_groups)
+        if isinstance(layer, MaxPool2D):
+            return max_pool(layer, arrays[0], scratch)
+        if isinstance(layer, LRN):
+            return lrn(layer, arrays[0], scratch)
+        if isinstance(layer, ReLU):
+            return relu(layer, arrays[0], scratch)
         return layer.forward(arrays)
 
     return forward
-
-
-def fast_forward(layer: Layer, arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Stateless fast forward (fresh buffers per call).
-
-    A valid ``ForwardFn`` for :meth:`Network.forward_from` /
-    :meth:`Network.forward_from_many`; output is bitwise identical to
-    ``layer.forward(arrays)`` for every layer type (fast path or not).
-    Campaign code uses :func:`make_forward_fn` with a shared scratch
-    instead; this wrapper exists for one-off calls and tests.
-    """
-    return make_forward_fn()(layer, arrays)

@@ -31,8 +31,8 @@ from .tensor import assert_batched
 Tap = Callable[[np.ndarray], np.ndarray]
 
 #: Forward override hook: ``(layer, arrays) -> output``.  Used by the
-#: injection engine to substitute bitwise-faithful fast kernels for
-#: ``layer.forward`` during replay (see :mod:`repro.engine.kernels`).
+#: injection engine to run the layer kernels on reused buffers during
+#: replay (see :mod:`repro.engine.kernels`) and by the quantized runtime.
 ForwardFn = Callable[[Layer, Sequence[np.ndarray]], np.ndarray]
 
 #: Reserved producer name for the network input tensor.
@@ -215,7 +215,7 @@ class Network:
         Intermediate activations are freed as soon as no remaining layer
         consumes them, so deep networks run in bounded memory.  When
         ``forward_fn`` is given, it replaces ``layer.forward`` for every
-        layer (the substitution hook the fast kernels and the quantized
+        layer (the substitution hook the engine's replay and the quantized
         runtime use; see :data:`ForwardFn`).
         """
         self._check_input(x)

@@ -1,0 +1,345 @@
+"""Layer kernels: the one implementation behind every layer forward.
+
+``Conv2D.forward``, ``Dense.forward``, ``MaxPool2D.forward``,
+``LRN.forward`` and ``ReLU.forward`` call the functions below with a
+fresh :class:`KernelScratch`; the injection engine
+(:func:`repro.engine.kernels.make_forward_fn`) calls the very same
+functions with a scratch it reuses across replay chunks and with the
+number of trials its batch axis stacks.  The arithmetic is the same on
+both routes, only buffer reuse and GEMM slicing differ:
+
+* **Convolution** (dense and grouped) gathers its sliding windows once,
+  directly into the ``(C*k*k, N*P)`` layout a single GEMM per group
+  consumes, and fuses the bias add into the copy out of that GEMM.
+  Every output element is the same dot product over the same operand
+  order as a per-sample GEMM, but BLAS may *accumulate* it in a
+  different order depending on which n-microkernel a column lands in:
+  columns whose index modulo the microkernel width (8 on every dgemm
+  build we target) differs between the fused and the per-sample call
+  can differ in the last bit.  When the spatial position count ``P``
+  is a multiple of 8, every sample's columns occupy whole microtiles at
+  the same phase in both calls, and the results are bitwise equal.  So
+  the fused GEMM runs only when ``P % 8 == 0`` (and a group has more
+  than one output channel, so numpy calls gemm rather than gemv);
+  other shapes keep one GEMM per sample over ``im2col`` columns.  Most
+  zoo convolutions conform, but googlenet and vgg19 each have four at
+  ``P = 4`` (2x2 maps) that take the per-sample path.  Plain 1x1
+  convolutions skip the gather (the input already is its column
+  matrix) and run one batched per-sample matmul.  Depthwise
+  convolutions keep their einsum.
+* **Max pooling** with non-overlapping 2x2 windows (every zoo max pool
+  but googlenet's 3x3 inception pools) is a reshape plus three
+  ``np.maximum`` calls; other geometries reduce the generic 6-D window
+  copy.
+* **LRN** cumulative-sums the squared channels in place.  Because
+  ``x*x`` is never ``-0.0`` and adding a leading or trailing ``+0.0``
+  to an IEEE sum is exact, these sums equal the cumulative sums of a
+  zero-padded channel axis bit for bit; the scale, ``** beta`` and
+  divide are the same elementwise operations, run into one buffer.
+* **Dense** and **ReLU** are the plain GEMM and ``np.maximum``, written
+  into scratch buffers.
+
+**Batch invariance.**  Because of the phase rule above, every layer
+but ``Dense`` and the depthwise convolution gives the same bytes for a
+batch of ``B`` as for ``B`` batch-1 calls.  ``Dense`` runs one
+``(N, in) @ (in, out)`` GEMM and the depthwise einsum contracts the
+whole batch; both pick kernels by ``N``.
+
+**Shape stability under trial stacking.**  BLAS picks kernels (and
+therefore accumulation orders) by operand size, so a GEMM over a
+trial-stacked batch is not guaranteed to reproduce the unstacked bits.
+``trial_groups`` slices a stacked batch back into per-trial calls, so
+each BLAS call has shapes independent of the engine's ``trial_batch``
+setting.  The slicing costs only Python loop overhead.
+
+**Scratch reuse.**  A :class:`KernelScratch` hands out one buffer per
+(layer, role) key; the engine reuses it across replay chunks, which
+removes allocator churn and keeps the cache footprint constant.  Every
+layer forward passes a fresh one, so its outputs never alias.
+
+``tests/nn/reference_layers.py`` keeps the earlier per-sample layer
+implementations as the oracle these kernels are tested against, byte
+for byte.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
+
+import numpy as np
+
+from .tensor import conv_output_hw, extract_windows, flatten_spatial, im2col, pad_nchw
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .layers.activation import ReLU
+    from .layers.conv import Conv2D
+    from .layers.dense import Dense
+    from .layers.norm import LRN
+    from .layers.pool import MaxPool2D
+
+
+class KernelScratch:
+    """Reusable buffers keyed by (layer, role[, group]).
+
+    The engine keeps one instance per layer campaign (and therefore per
+    worker): buffers are never shared across threads or processes.
+    Keys are unique per layer, so a buffer is only rewritten when the
+    replay chunk that filled it is already consumed.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: Dict[Tuple, np.ndarray] = {}
+
+    def get(self, key: Tuple, shape: Tuple[int, ...]) -> np.ndarray:
+        buffer = self._buffers.get(key)
+        if buffer is None or buffer.shape != shape:
+            buffer = np.empty(shape, dtype=np.float64)
+            self._buffers[key] = buffer
+        return buffer
+
+    def zeros(self, key: Tuple, shape: Tuple[int, ...]) -> np.ndarray:
+        """A zeroed buffer; only zeroed on (re)allocation.
+
+        Used for padded inputs: the border stays zero forever because
+        every reuse writes only the interior.
+        """
+        buffer = self._buffers.get(key)
+        if buffer is None or buffer.shape != shape:
+            buffer = np.zeros(shape, dtype=np.float64)
+            self._buffers[key] = buffer
+        return buffer
+
+
+def fused_im2col(
+    x: np.ndarray,
+    kernel: int,
+    stride: int,
+    padding: int,
+    scratch: Optional[KernelScratch] = None,
+    key: Tuple = (),
+) -> np.ndarray:
+    """Unfold an NCHW batch into one GEMM-ready ``(C*k*k, N*P)`` matrix.
+
+    Column order groups all spatial positions of sample 0, then sample
+    1, ...; row order is (channel, kh, kw) — the same dot-product
+    operand order as :func:`repro.nn.tensor.im2col`.  Unlike ``im2col``
+    this makes exactly one copy: the strided gather lands directly in
+    the target layout.
+    """
+    scratch = scratch or KernelScratch()
+    if kernel == 1 and stride == 1 and padding == 0:
+        n, c, h, w = x.shape
+        cols = scratch.get(key + ("cols",), (c, n * h * w))
+        np.copyto(
+            cols.reshape(c, n, h * w),
+            x.reshape(n, c, h * w).transpose(1, 0, 2),
+        )
+        return cols
+    if padding > 0:
+        n, c, h, w = x.shape
+        padded = scratch.zeros(
+            key + ("pad",), (n, c, h + 2 * padding, w + 2 * padding)
+        )
+        padded[:, :, padding : padding + h, padding : padding + w] = x
+        x = padded
+    n, c, h, w = x.shape
+    out_h, out_w = conv_output_hw(h, w, kernel, stride, 0)
+    sn, sc, sh, sw = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(c, kernel, kernel, n, out_h, out_w),
+        strides=(sc, sh, sw, sn, sh * stride, sw * stride),
+        writeable=False,
+    )
+    cols = scratch.get(
+        key + ("cols",), (c, kernel, kernel, n, out_h, out_w)
+    )
+    np.copyto(cols, windows)
+    return cols.reshape(c * kernel * kernel, n * out_h * out_w)
+
+
+def _trial_slices(n: int, trial_groups: int) -> Tuple[int, int]:
+    """(splits, rows per split): one split unless the groups divide ``n``."""
+    splits = trial_groups if trial_groups > 1 and n % trial_groups == 0 else 1
+    return splits, n // splits
+
+
+def conv2d(
+    layer: "Conv2D",
+    x: np.ndarray,
+    scratch: Optional[KernelScratch] = None,
+    trial_groups: int = 1,
+) -> np.ndarray:
+    """Convolution forward (see the module docstring for the paths).
+
+    ``trial_groups`` declares how many independent trials the batch
+    axis stacks: each trial's slice runs through its own gather and
+    GEMM, so every BLAS call has the shapes the unstacked call has.
+    """
+    scratch = scratch or KernelScratch()
+    n = x.shape[0]
+    out_c, out_h, out_w = layer.output_shape
+    positions = out_h * out_w
+    weight = layer.weight
+    if layer.groups > 1 and layer.groups == x.shape[1] and weight.shape[1] == 1:
+        windows = extract_windows(x, layer.kernel, layer.stride, layer.padding)
+        # windows: (N, C, out_h, out_w, k, k); weight: (C, 1, k, k)
+        out = np.einsum(
+            "nchwij,cij->nchw", windows, weight[:, 0, :, :], optimize=True
+        )
+        if layer.bias is not None:
+            out += layer.bias[None, :, None, None]
+        return out
+    name = layer.name
+    out = scratch.get((name, "out"), (n, out_c, out_h, out_w))
+    out3 = out.reshape(n, out_c, positions)
+    if (
+        layer.kernel == 1
+        and layer.stride == 1
+        and layer.padding == 0
+        and layer.groups == 1
+    ):
+        # The input already is its column matrix: one batched matmul,
+        # per sample either way, so trial stacking cannot change it.
+        np.matmul(
+            weight.reshape(out_c, -1)[None, :, :],
+            x.reshape(n, x.shape[1], positions),
+            out=out3,
+        )
+        if layer.bias is not None:
+            out += layer.bias[None, :, None, None]
+        return out
+    in_per_group = weight.shape[1]
+    out_per_group = out_c // layer.groups
+    # With one output channel numpy runs gemv, not gemm, and the phase
+    # rule only covers gemm.
+    fused = positions % 8 == 0 and out_per_group > 1
+    splits, per_trial = _trial_slices(n, trial_groups)
+    bias = None if layer.bias is None else layer.bias[:, None]
+    for t in range(splits):
+        rows = slice(t * per_trial, (t + 1) * per_trial)
+        x_t = x[rows]
+        for g in range(layer.groups):
+            # A strided channel-slice view: both the pad copy and the
+            # as_strided gather read through arbitrary strides.
+            x_g = x_t[:, g * in_per_group : (g + 1) * in_per_group]
+            channels = slice(g * out_per_group, (g + 1) * out_per_group)
+            w2d = weight[channels].reshape(out_per_group, -1)
+            if fused:
+                cols = fused_im2col(
+                    x_g, layer.kernel, layer.stride, layer.padding, scratch, (name,)
+                )
+                flat = scratch.get((name, "flat"), (out_per_group, cols.shape[1]))
+                np.matmul(w2d, cols, out=flat)
+                result = flat.reshape(out_per_group, per_trial, positions).transpose(
+                    1, 0, 2
+                )
+            else:
+                # One GEMM per sample over im2col's columns.  numpy picks
+                # dot, gemv or gemm, and the transpose flags, by operand
+                # shape and strides, so the operands keep im2col's exact
+                # layout (a strided view when C == 1 or P == 1).
+                cols = im2col(x_g, layer.kernel, layer.stride, layer.padding)
+                result = np.matmul(w2d[None, :, :], cols)
+            # The bias add is fused into the copy out of the GEMM result:
+            # one addition per element, the same operands as a
+            # matmul-then-add, so the bits match.
+            if bias is not None:
+                np.add(result, bias[channels], out=out3[rows, channels])
+            else:
+                np.copyto(out3[rows, channels], result)
+    return out
+
+
+def dense(
+    layer: "Dense",
+    x: np.ndarray,
+    scratch: Optional[KernelScratch] = None,
+    trial_groups: int = 1,
+) -> np.ndarray:
+    """Fully connected forward, one GEMM per trial group."""
+    scratch = scratch or KernelScratch()
+    x = flatten_spatial(x)
+    n = x.shape[0]
+    out = scratch.get((layer.name, "out"), (n, layer.out_features))
+    splits, per_trial = _trial_slices(n, trial_groups)
+    weight_t = layer.weight.T
+    for t in range(splits):
+        rows = slice(t * per_trial, (t + 1) * per_trial)
+        np.matmul(x[rows], weight_t, out=out[rows])
+    if layer.bias is not None:
+        out += layer.bias
+    return out
+
+
+def max_pool(
+    layer: "MaxPool2D",
+    x: np.ndarray,
+    scratch: Optional[KernelScratch] = None,
+) -> np.ndarray:
+    """Max pooling; padding uses -inf so it never wins."""
+    n, c, h, w = x.shape
+    if (
+        layer.kernel == 2
+        and layer.stride == 2
+        and layer.padding == 0
+        and h % 2 == 0
+        and w % 2 == 0
+    ):
+        scratch = scratch or KernelScratch()
+        v = x.reshape(n, c, h // 2, 2, w // 2, 2)
+        out = scratch.get((layer.name, "out"), (n, c, h // 2, w // 2))
+        tmp = scratch.get((layer.name, "tmp"), (n, c, h // 2, w // 2))
+        np.maximum(v[:, :, :, 0, :, 0], v[:, :, :, 0, :, 1], out=out)
+        np.maximum(v[:, :, :, 1, :, 0], v[:, :, :, 1, :, 1], out=tmp)
+        np.maximum(out, tmp, out=out)
+        return out
+    if layer.padding > 0:
+        padded = pad_nchw(x, layer.padding)
+        mask = pad_nchw(np.ones_like(x), layer.padding)
+        x = np.where(mask > 0, padded, -np.inf)
+    windows = extract_windows(x, layer.kernel, layer.stride, 0)
+    return windows.max(axis=(4, 5))
+
+
+def lrn(
+    layer: "LRN",
+    x: np.ndarray,
+    scratch: Optional[KernelScratch] = None,
+) -> np.ndarray:
+    """Local response normalization with in-place cumulative sums."""
+    scratch = scratch or KernelScratch()
+    name = layer.name
+    half = layer.local_size // 2
+    channels = x.shape[1]
+    squared = scratch.get((name, "sq"), x.shape)
+    np.multiply(x, x, out=squared)
+    cumulative = scratch.get((name, "cum"), x.shape)
+    np.cumsum(squared, axis=1, out=cumulative)
+    window = scratch.get((name, "win"), x.shape)
+    # upper[c] = cumulative[min(c + half, C-1)]: two slice copies beat
+    # the equivalent fancy-indexed np.take.
+    split = max(channels - half, 0)
+    window[:, :split] = cumulative[:, half:]
+    window[:, split:] = cumulative[:, channels - 1 : channels]
+    # lower[c] = cumulative[c - half - 1] where it exists, else exact 0.
+    window[:, half + 1 :] -= cumulative[:, : max(channels - half - 1, 0)]
+    window *= layer.alpha / layer.local_size
+    window += layer.k
+    # ``**=`` takes numpy's scalar-power shortcuts (sqrt for 0.5, ...)
+    # exactly as ``** beta`` does; ``np.power`` would not.
+    window **= layer.beta
+    np.divide(x, window, out=window)
+    return window
+
+
+def relu(
+    layer: "ReLU",
+    x: np.ndarray,
+    scratch: Optional[KernelScratch] = None,
+) -> np.ndarray:
+    """``max(x, 0)`` into a scratch buffer."""
+    scratch = scratch or KernelScratch()
+    out = scratch.get((layer.name, "out"), x.shape)
+    np.maximum(x, 0.0, out=out)
+    return out

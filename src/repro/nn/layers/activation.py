@@ -12,6 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..kernels import relu
 from ..layer import Layer, Shape
 
 
@@ -23,7 +24,7 @@ class ReLU(Layer):
         return shape
 
     def forward(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
-        return np.maximum(arrays[0], 0.0)
+        return relu(self, arrays[0])
 
 
 class Softmax(Layer):

@@ -3,9 +3,10 @@
 Convolution is the dot-product workhorse the paper's error model is
 built around: for a fixed trained kernel ``w`` and an input ``x`` with
 per-element rounding error ``delta_x``, the output error is
-``sum_i w_i * delta_x_i`` (paper Eq. 3).  The implementation below uses
-``im2col`` so each output element really is computed as one large dot
-product, matching that model exactly.
+``sum_i w_i * delta_x_i`` (paper Eq. 3).  The forward
+(:func:`repro.nn.kernels.conv2d`) unfolds the input into im2col columns,
+so each output element really is computed as one large dot product,
+matching that model exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import numpy as np
 
 from ...errors import ShapeError
 from ..layer import Layer, Shape
-from ..tensor import conv_output_hw, extract_windows, im2col
+from ..kernels import conv2d
+from ..tensor import conv_output_hw
 
 
 class Conv2D(Layer):
@@ -93,50 +95,7 @@ class Conv2D(Layer):
         return (self.out_channels, out_h, out_w)
 
     def forward(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
-        (x,) = arrays
-        if self.groups == 1:
-            out = self._forward_dense(x)
-        elif self.groups == x.shape[1] and self.weight.shape[1] == 1:
-            out = self._forward_depthwise(x)
-        else:
-            out = self._forward_grouped(x)
-        if self.bias is not None:
-            out += self.bias[None, :, None, None]
-        return out
-
-    def _forward_dense(self, x: np.ndarray) -> np.ndarray:
-        n = x.shape[0]
-        out_c, out_h, out_w = self.output_shape
-        cols = im2col(x, self.kernel, self.stride, self.padding)
-        w2d = self.weight.reshape(out_c, -1)
-        out = np.matmul(w2d[None, :, :], cols)
-        return out.reshape(n, out_c, out_h, out_w)
-
-    def _forward_depthwise(self, x: np.ndarray) -> np.ndarray:
-        n = x.shape[0]
-        out_c, out_h, out_w = self.output_shape
-        windows = extract_windows(x, self.kernel, self.stride, self.padding)
-        # windows: (N, C, out_h, out_w, k, k); weight: (C, 1, k, k)
-        kernels = self.weight[:, 0, :, :]
-        out = np.einsum("nchwij,cij->nchw", windows, kernels, optimize=True)
-        return out.reshape(n, out_c, out_h, out_w)
-
-    def _forward_grouped(self, x: np.ndarray) -> np.ndarray:
-        n = x.shape[0]
-        out_c, out_h, out_w = self.output_shape
-        in_per_group = self.weight.shape[1]
-        out_per_group = out_c // self.groups
-        out = np.empty((n, out_c, out_h, out_w), dtype=np.float64)
-        for g in range(self.groups):
-            x_g = x[:, g * in_per_group : (g + 1) * in_per_group]
-            w_g = self.weight[g * out_per_group : (g + 1) * out_per_group]
-            cols = im2col(x_g, self.kernel, self.stride, self.padding)
-            w2d = w_g.reshape(out_per_group, -1)
-            res = np.matmul(w2d[None, :, :], cols)
-            out[:, g * out_per_group : (g + 1) * out_per_group] = res.reshape(
-                n, out_per_group, out_h, out_w
-            )
-        return out
+        return conv2d(self, arrays[0])
 
     # ------------------------------------------------------------------
     def num_macs(self) -> int:

@@ -13,8 +13,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ...errors import ShapeError
+from ..kernels import dense
 from ..layer import Layer, Shape
-from ..tensor import flatten_spatial
 
 
 class Dense(Layer):
@@ -64,11 +64,7 @@ class Dense(Layer):
         return (self.out_features,)
 
     def forward(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
-        x = flatten_spatial(arrays[0])
-        out = x @ self.weight.T
-        if self.bias is not None:
-            out += self.bias
-        return out
+        return dense(self, arrays[0])
 
     def num_macs(self) -> int:
         self._require_bound()

@@ -13,6 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from ...errors import ShapeError
+from ..kernels import lrn
 from ..layer import Layer, Shape
 
 
@@ -81,22 +82,4 @@ class LRN(Layer):
         return shape
 
     def forward(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
-        (x,) = arrays
-        squared = x * x
-        half = self.local_size // 2
-        channels = x.shape[1]
-        padded = np.zeros(
-            (x.shape[0], channels + 2 * half) + x.shape[2:], dtype=np.float64
-        )
-        padded[:, half : half + channels] = squared
-        cumulative = np.cumsum(padded, axis=1)
-        window = np.empty_like(squared)
-        # sum over channel window [c - half, c + half] via cumulative sums
-        upper = cumulative[:, self.local_size - 1 :]
-        lower = np.concatenate(
-            [np.zeros_like(cumulative[:, :1]), cumulative[:, : -self.local_size]],
-            axis=1,
-        )
-        window[:] = upper - lower
-        denom = (self.k + (self.alpha / self.local_size) * window) ** self.beta
-        return x / denom
+        return lrn(self, arrays[0])

@@ -15,7 +15,8 @@ import numpy as np
 
 from ...errors import ShapeError
 from ..layer import Layer, Shape
-from ..tensor import conv_output_hw, extract_windows, pad_nchw
+from ..kernels import max_pool
+from ..tensor import conv_output_hw, extract_windows
 
 
 class _SpatialPool(Layer):
@@ -52,15 +53,7 @@ class MaxPool2D(_SpatialPool):
     """Max pooling; zero padding uses -inf so padding never wins."""
 
     def forward(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
-        (x,) = arrays
-        if self.padding > 0:
-            padded = pad_nchw(x, self.padding)
-            mask = pad_nchw(np.ones_like(x), self.padding)
-            padded = np.where(mask > 0, padded, -np.inf)
-            windows = extract_windows(padded, self.kernel, self.stride, 0)
-        else:
-            windows = self._windows(x)
-        return windows.max(axis=(4, 5))
+        return max_pool(self, arrays[0])
 
 
 class AvgPool2D(_SpatialPool):

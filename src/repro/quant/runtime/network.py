@@ -25,7 +25,7 @@ across ``forward`` vs :meth:`forward_from_many` batching,
 and across engine ``--jobs`` settings (which never touch this path).
 For *unquantized* GEMM layers inside a batched call, the batch is
 sliced back to per-trial GEMM shapes — the same shape-stability trick
-as :mod:`repro.engine.kernels` — so batching stays bitwise faithful
+as the layer kernels' ``trial_groups`` — so batching stays bitwise faithful
 even for layers the allocation does not cover.
 
 Operand dtype: inside the fast backend's exactness envelope
@@ -343,7 +343,7 @@ class QuantizedNetwork:
         BLAS picks kernels (and accumulation orders) by operand shape,
         so an unquantized Conv2D/Dense inside a stacked batch must run
         per-group GEMMs to reproduce the unstacked bits — the same
-        rule :mod:`repro.engine.kernels` enforces for replay stacking.
+        rule :mod:`repro.nn.kernels` enforces for replay stacking.
         """
         if trial_groups > 1 and isinstance(layer, (Conv2D, Dense)):
             x = arrays[0]

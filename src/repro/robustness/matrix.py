@@ -136,8 +136,8 @@ def _kernel_variants(config: "ExperimentConfig") -> List[MatrixVariant]:
             name="kernels:reference",
             component="kernels",
             description=(
-                "fast microtile replay kernels off; the engine uses "
-                "the reference numpy path"
+                "replay runs layer.forward: fresh buffers on every call "
+                "and no per-trial GEMM slicing"
             ),
             parallel_overrides={"fast_kernels": False},
         )

@@ -1,36 +1,50 @@
-"""Bitwise-identity tests for the engine's fast kernels.
+"""Byte-identity tests for the layer kernels against the per-sample oracle.
 
-Every fast path must reproduce ``layer.forward`` exactly (same bits,
-``np.array_equal``), both through a reused :class:`KernelScratch` and
-through the stateless :func:`fast_forward` wrapper — the engine's whole
-determinism contract rests on this.
+``layer.forward`` and the engine's replay forward
+(``make_forward_fn(KernelScratch(), trial_groups=R)``) both run
+:mod:`repro.nn.kernels`; both must reproduce the stock per-sample
+implementations in ``tests/nn/reference_layers.py`` byte for byte.
+Bytes, not ``np.array_equal``: the latter treats -0.0 and +0.0 as equal.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.engine import KernelScratch, fast_forward, make_forward_fn
+from repro.engine import KernelScratch, make_forward_fn
 from repro.nn import LRN, Conv2D, Dense, MaxPool2D, ReLU
+from tests.nn.reference_layers import reference_forward
 
 rng = np.random.default_rng(7)
 
 
-def assert_kernel_bitwise(layer, x, reps=3):
-    """Fast path == layer.forward bitwise, across scratch reuse."""
-    layer.output_shape = layer.infer_shape([x.shape[1:]])
-    want = layer.forward([x])
-    fwd = make_forward_fn(KernelScratch())
+def bind(layer, x):
+    layer.bind([x.shape[1:]])
+    return layer
+
+
+def assert_same_bytes(want, got):
+    assert want.shape == got.shape
+    assert want.dtype == got.dtype
+    assert want.tobytes() == got.tobytes()
+
+
+def assert_kernel_bitwise(layer, x, trial_groups=1, reps=3):
+    """forward and the replay forward == the oracle, across scratch reuse."""
+    bind(layer, x)
+    want = reference_forward(layer, [x])
+    assert_same_bytes(want, layer.forward([x]))
+    fwd = make_forward_fn(KernelScratch(), trial_groups=trial_groups)
     for _ in range(reps):  # repeated calls exercise buffer reuse
-        got = fwd(layer, [x])
-        assert np.array_equal(want, got)
-    assert np.array_equal(want, fast_forward(layer, [x]))
+        assert_same_bytes(want, fwd(layer, [x]))
 
 
 class TestConvKernel:
     @pytest.mark.parametrize(
         "out_c,in_c,kernel,stride,padding,groups",
         [
-            (16, 3, 5, 2, 2, 1),  # stride-2, positions not % 8: fallback
+            (16, 3, 5, 2, 2, 1),  # stride-2, positions not % 8: per-sample
             (32, 16, 5, 1, 2, 2),  # grouped with padding
             (48, 32, 3, 1, 1, 1),  # aligned dense conv (P = 144)
             (24, 12, 3, 1, 1, 4),  # four groups
@@ -58,6 +72,46 @@ class TestConvKernel:
         layer = Conv2D("dw", ["i"], weight, None, stride=1, padding=1, groups=16)
         assert_kernel_bitwise(layer, x)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        in_per_group=st.integers(1, 4),
+        out_per_group=st.integers(1, 5),
+        groups=st.sampled_from([1, 2, 3, "depthwise"]),
+        kernel=st.integers(1, 4),
+        stride=st.integers(1, 3),
+        padding=st.integers(0, 2),
+        h=st.integers(1, 11),
+        w=st.integers(1, 11),
+        with_bias=st.booleans(),
+        trial_groups=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_random_shapes(
+        self, n, in_per_group, out_per_group, groups, kernel, stride, padding,
+        h, w, with_bias, trial_groups, seed,
+    ):
+        # Covers P % 8 != 0 (per-sample path), grouped, depthwise and
+        # 1x1 convolutions, and stacked batches of trial_groups trials.
+        if groups == "depthwise":
+            groups, in_per_group, out_per_group = in_per_group + 1, 1, 1
+        elif groups > 1 and in_per_group == 1:
+            # One input channel per group reads as depthwise, and the
+            # depthwise einsum has no channel multiplier.
+            in_per_group = 2
+        if h + 2 * padding < kernel or w + 2 * padding < kernel:
+            return
+        local = np.random.default_rng(seed)
+        weight = local.standard_normal(
+            (out_per_group * groups, in_per_group, kernel, kernel)
+        )
+        bias = local.standard_normal(weight.shape[0]) if with_bias else None
+        x = local.standard_normal((n * trial_groups, in_per_group * groups, h, w))
+        layer = Conv2D(
+            "c", ["i"], weight, bias, stride=stride, padding=padding, groups=groups
+        )
+        assert_kernel_bitwise(layer, x, trial_groups=trial_groups, reps=2)
+
 
 class TestDenseKernel:
     def test_flat_input(self):
@@ -82,6 +136,23 @@ class TestLRNKernel:
         layer = LRN("lrn", ["i"], local_size=local_size)
         assert_kernel_bitwise(layer, x)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        channels=st.integers(1, 12),
+        half=st.integers(0, 7),
+        beta=st.sampled_from([0.75, 0.5, 1.0, 2.0]),
+        k=st.sampled_from([1.0, 2.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_random_windows(self, channels, half, beta, k, seed):
+        # local_size ranges past the channel count on both sides.
+        local = np.random.default_rng(seed)
+        x = local.standard_normal((2, channels, 3, 4))
+        x[x < -1.0] = 0.0
+        x[x > 1.5] = -0.0
+        layer = LRN("lrn", ["i"], local_size=2 * half + 1, alpha=1e-2, beta=beta, k=k)
+        assert_kernel_bitwise(layer, x, reps=2)
+
 
 class TestPoolAndActivation:
     def test_maxpool_2x2(self):
@@ -91,6 +162,26 @@ class TestPoolAndActivation:
     def test_maxpool_3x3_falls_back(self):
         layer = MaxPool2D("p", ["i"], kernel=3, stride=2)
         assert_kernel_bitwise(layer, rng.standard_normal((4, 8, 13, 13)))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        kernel=st.integers(1, 4),
+        stride=st.integers(1, 3),
+        padding=st.integers(0, 1),
+        h=st.integers(2, 10),
+        w=st.integers(2, 10),
+        seed=st.integers(0, 2**16),
+    )
+    def test_random_geometries(self, kernel, stride, padding, h, w, seed):
+        # Padded, overlapping and 2x2 windows, with signed zeros tied.
+        if h + 2 * padding < kernel or w + 2 * padding < kernel:
+            return
+        local = np.random.default_rng(seed)
+        x = local.standard_normal((3, 2, h, w))
+        x[x < -0.5] = 0.0
+        x[x > 0.5] = -0.0
+        layer = MaxPool2D("p", ["i"], kernel=kernel, stride=stride, padding=padding)
+        assert_kernel_bitwise(layer, x, reps=2)
 
     def test_relu(self):
         assert_kernel_bitwise(ReLU("r", ["i"]), rng.standard_normal((4, 8, 12, 12)))
@@ -106,14 +197,15 @@ class TestTrialGroupSlicing:
     """
 
     def _stacked_equals_per_trial(self, layer, per_trial_inputs):
-        shape = per_trial_inputs[0].shape[1:]
-        layer.output_shape = layer.infer_shape([shape])
-        want = np.concatenate([layer.forward([x]) for x in per_trial_inputs])
+        bind(layer, per_trial_inputs[0])
+        want = np.concatenate(
+            [reference_forward(layer, [x]) for x in per_trial_inputs]
+        )
         stacked = np.concatenate(per_trial_inputs)
         fwd = make_forward_fn(
             KernelScratch(), trial_groups=len(per_trial_inputs)
         )
-        assert np.array_equal(want, fwd(layer, [stacked]))
+        assert_same_bytes(want, fwd(layer, [stacked]))
 
     def test_conv_stacked(self):
         layer = Conv2D(
@@ -149,7 +241,7 @@ class TestTrialGroupSlicing:
 
     def test_indivisible_batch_keeps_single_group(self):
         # trial_groups that does not divide the batch degrades to one
-        # group — still bitwise equal to forward on the whole batch.
+        # group — still bitwise equal to the oracle on the whole batch.
         layer = Conv2D(
             "c",
             ["i"],
@@ -158,8 +250,4 @@ class TestTrialGroupSlicing:
             stride=1,
             padding=1,
         )
-        x = rng.standard_normal((5, 4, 12, 12))
-        layer.output_shape = layer.infer_shape([x.shape[1:]])
-        want = layer.forward([x])
-        fwd = make_forward_fn(KernelScratch(), trial_groups=3)
-        assert np.array_equal(want, fwd(layer, [x]))
+        assert_kernel_bitwise(layer, rng.standard_normal((5, 4, 12, 12)), trial_groups=3)

@@ -3,7 +3,7 @@
 The plan cache must hand back the same object until the graph mutates,
 and ``forward_from_many`` must be a bitwise re-expression of R separate
 ``forward_from`` calls — with the default layer kernels and with the
-engine's fast kernels alike.
+engine's replay forward alike.
 """
 
 import numpy as np
