@@ -46,11 +46,14 @@ batch of ``B`` as for ``B`` batch-1 calls.  ``Dense`` runs one
 whole batch; both pick kernels by ``N``.
 
 **Shape stability under trial stacking.**  BLAS picks kernels (and
-therefore accumulation orders) by operand size, so a GEMM over a
-trial-stacked batch is not guaranteed to reproduce the unstacked bits.
-``trial_groups`` slices a stacked batch back into per-trial calls, so
-each BLAS call has shapes independent of the engine's ``trial_batch``
-setting.  The slicing costs only Python loop overhead.
+therefore accumulation orders) by operand size, and the depthwise
+einsum picks its reduction loops by batch size, so neither is
+guaranteed to reproduce the unstacked bits over a trial-stacked batch.
+``trial_groups`` slices a stacked batch back into per-trial calls for
+every GEMM and for the depthwise einsum, so each call has shapes
+independent of the engine's ``trial_batch`` setting: ``conv2d`` and
+``dense`` over R stacked trials give the bytes of R unstacked calls.
+The slicing costs only Python loop overhead.
 
 **Scratch reuse.**  A :class:`KernelScratch` hands out one buffer per
 (layer, role) key; the engine reuses it across replay chunks, which
@@ -71,6 +74,8 @@ import numpy as np
 from .tensor import conv_output_hw, extract_windows, flatten_spatial, im2col, pad_nchw
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from numpy.typing import DTypeLike
+
     from .layers.activation import ReLU
     from .layers.conv import Conv2D
     from .layers.dense import Dense
@@ -85,15 +90,20 @@ class KernelScratch:
     worker): buffers are never shared across threads or processes.
     Keys are unique per layer, so a buffer is only rewritten when the
     replay chunk that filled it is already consumed.
+
+    Every buffer has the scratch's ``dtype``: float64 for the layer
+    kernels, the GEMM operand dtype for the quantized runtime's code
+    gathers (float64 or int64).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, dtype: "DTypeLike" = np.float64) -> None:
+        self.dtype = np.dtype(dtype)
         self._buffers: Dict[Tuple, np.ndarray] = {}
 
     def get(self, key: Tuple, shape: Tuple[int, ...]) -> np.ndarray:
         buffer = self._buffers.get(key)
         if buffer is None or buffer.shape != shape:
-            buffer = np.empty(shape, dtype=np.float64)
+            buffer = np.empty(shape, dtype=self.dtype)
             self._buffers[key] = buffer
         return buffer
 
@@ -105,7 +115,7 @@ class KernelScratch:
         """
         buffer = self._buffers.get(key)
         if buffer is None or buffer.shape != shape:
-            buffer = np.zeros(shape, dtype=np.float64)
+            buffer = np.zeros(shape, dtype=self.dtype)
             self._buffers[key] = buffer
         return buffer
 
@@ -124,7 +134,9 @@ def fused_im2col(
     1, ...; row order is (channel, kh, kw) — the same dot-product
     operand order as :func:`repro.nn.tensor.im2col`.  Unlike ``im2col``
     this makes exactly one copy: the strided gather lands directly in
-    the target layout.
+    the target layout (padded inputs first get one interior copy into a
+    zeroed buffer).  Both copies write the scratch's dtype, so a cast,
+    e.g. int64 codes to float64 operands, costs no extra pass.
     """
     scratch = scratch or KernelScratch()
     if kernel == 1 and stride == 1 and padding == 0:
@@ -181,17 +193,28 @@ def conv2d(
     out_c, out_h, out_w = layer.output_shape
     positions = out_h * out_w
     weight = layer.weight
+    name = layer.name
+    out = scratch.get((name, "out"), (n, out_c, out_h, out_w))
+    splits, per_trial = _trial_slices(n, trial_groups)
     if layer.groups > 1 and layer.groups == x.shape[1] and weight.shape[1] == 1:
-        windows = extract_windows(x, layer.kernel, layer.stride, layer.padding)
-        # windows: (N, C, out_h, out_w, k, k); weight: (C, 1, k, k)
-        out = np.einsum(
-            "nchwij,cij->nchw", windows, weight[:, 0, :, :], optimize=True
-        )
+        # The einsum's reduction loops depend on the batch size, so each
+        # trial contracts its own slice, straight into the output.
+        for t in range(splits):
+            rows = slice(t * per_trial, (t + 1) * per_trial)
+            windows = extract_windows(
+                x[rows], layer.kernel, layer.stride, layer.padding
+            )
+            # windows: (N, C, out_h, out_w, k, k); weight: (C, 1, k, k)
+            np.einsum(
+                "nchwij,cij->nchw",
+                windows,
+                weight[:, 0, :, :],
+                optimize=True,
+                out=out[rows],
+            )
         if layer.bias is not None:
             out += layer.bias[None, :, None, None]
         return out
-    name = layer.name
-    out = scratch.get((name, "out"), (n, out_c, out_h, out_w))
     out3 = out.reshape(n, out_c, positions)
     if (
         layer.kernel == 1
@@ -214,7 +237,6 @@ def conv2d(
     # With one output channel numpy runs gemv, not gemm, and the phase
     # rule only covers gemm.
     fused = positions % 8 == 0 and out_per_group > 1
-    splits, per_trial = _trial_slices(n, trial_groups)
     bias = None if layer.bias is None else layer.bias[:, None]
     for t in range(splits):
         rows = slice(t * per_trial, (t + 1) * per_trial)

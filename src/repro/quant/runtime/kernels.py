@@ -29,6 +29,8 @@ the backend's accumulator width.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from ...errors import QuantizationError
@@ -107,14 +109,19 @@ def integer_gemm(
     )
 
 
-def requantize(acc: np.ndarray, shift: int) -> np.ndarray:
+def requantize(
+    acc: np.ndarray, shift: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Accumulator -> float64 activations: exact scale by ``2**-shift``.
 
     ``shift = F_x + F_w`` is the layer's requantization shift.  The
     conversion is exact whenever the accumulator magnitude stays below
     ``2**53`` (true for every model-zoo allocation); past that the
     int64 -> float64 cast rounds to nearest — identically for every
-    backend, so cross-backend bit-identity is unaffected.  A float64
-    accumulator (exact integers) is scaled without a copy.
+    backend, so cross-backend bit-identity is unaffected.
+
+    ``out`` (float64, ``acc``'s shape, any strides) receives the scaled
+    values, so the scale happens in the one copy into the caller's
+    layout.  Without it ``np.ldexp`` allocates a new array.
     """
-    return np.ldexp(np.asarray(acc, dtype=np.float64), -shift)
+    return np.ldexp(acc, -shift, out=out, dtype=np.float64)

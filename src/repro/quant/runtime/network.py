@@ -23,15 +23,22 @@ Bit-identity contract: the integer path is deterministic and exact, so
 results are bit-identical across backends (``reference``/``fast``),
 across ``forward`` vs :meth:`forward_from_many` batching,
 and across engine ``--jobs`` settings (which never touch this path).
-For *unquantized* GEMM layers inside a batched call, the batch is
-sliced back to per-trial GEMM shapes — the same shape-stability trick
-as the layer kernels' ``trial_groups`` — so batching stays bitwise faithful
-even for layers the allocation does not cover.
+*Unquantized* Conv2D/Dense layers inside a batched call run the layer
+kernels with ``trial_groups`` — per-trial GEMM shapes — so batching
+stays bitwise faithful even for layers the allocation does not cover.
+
+Conv layout: per group, the unpacked int64 codes are gathered once,
+straight into the ``(C*k*k, N*P)`` GEMM operand in the plan's operand
+dtype (this module's ``im2col``, :func:`repro.nn.kernels.fused_im2col`);
+the bias is added in place on the GEMM result and
+:func:`~repro.quant.runtime.kernels.requantize` scales it while copying
+it into the ``(N, C_out, P)`` output.  Integer sums are exact in any
+order, so one GEMM per group covers the whole batch for every geometry.
 
 Operand dtype: inside the fast backend's exactness envelope
-(:func:`~repro.quant.runtime.kernels.float64_exact`) the unpacked codes
-travel as float64 through im2col, the GEMM, the bias add and
-requantization.  Every value on that path is an integer below
+(:func:`~repro.quant.runtime.kernels.float64_exact`) the codes become
+float64 in that gather and stay float64 through the GEMM, the bias add
+and requantization.  Every value on that path is an integer below
 ``2**53``, so float64 carries it exactly and the results keep the same
 bits as the int64 path the ``reference`` backend runs.
 """
@@ -46,10 +53,12 @@ import numpy as np
 from ...config import MAX_BITWIDTH, MIN_BITWIDTH
 from ...errors import QuantizationError
 from ...nn.graph import Network
+from ...nn.kernels import KernelScratch, conv2d, dense
+from ...nn.kernels import fused_im2col as im2col
 from ...nn.layer import Layer
 from ...nn.layers.conv import Conv2D
 from ...nn.layers.dense import Dense
-from ...nn.tensor import extract_windows, flatten_spatial, im2col
+from ...nn.tensor import extract_windows, flatten_spatial
 from ..allocation import BitwidthAllocation
 from ..fixed_point import FixedPointFormat, integer_bits_for_range
 from .kernels import (
@@ -284,8 +293,8 @@ class QuantizedNetwork:
         """R same-shape batches in one stacked pass (engine-style).
 
         Stacks the batches along the batch axis and executes one
-        forward, slicing unquantized GEMM layers back to per-batch
-        shapes so the result is bitwise identical to calling
+        forward, running unquantized GEMM layers at per-batch shapes
+        so the result is bitwise identical to calling
         :meth:`forward` once per batch.  Returns shape ``(R, B, ...)``.
         """
         if not batches:
@@ -338,25 +347,18 @@ class QuantizedNetwork:
         arrays: Sequence[np.ndarray],
         trial_groups: int,
     ) -> np.ndarray:
-        """Stock float path, sliced per trial group for GEMM layers.
+        """Stock float path; stacked GEMM layers run per trial group.
 
         BLAS picks kernels (and accumulation orders) by operand shape,
-        so an unquantized Conv2D/Dense inside a stacked batch must run
-        per-group GEMMs to reproduce the unstacked bits — the same
-        rule :mod:`repro.nn.kernels` enforces for replay stacking.
+        so an unquantized Conv2D/Dense inside a stacked batch runs the
+        layer kernel with ``trial_groups``: per-trial GEMMs reproduce
+        the unstacked bits, as they do for replay stacking.
         """
-        if trial_groups > 1 and isinstance(layer, (Conv2D, Dense)):
-            x = arrays[0]
-            n = x.shape[0]
-            if n % trial_groups == 0:
-                per = n // trial_groups
-                return np.concatenate(
-                    [
-                        layer.forward([x[t * per : (t + 1) * per]])
-                        for t in range(trial_groups)
-                    ],
-                    axis=0,
-                )
+        if trial_groups > 1:
+            if isinstance(layer, Conv2D):
+                return conv2d(layer, arrays[0], trial_groups=trial_groups)
+            if isinstance(layer, Dense):
+                return dense(layer, arrays[0], trial_groups=trial_groups)
         return layer.forward(arrays)
 
     def _quantize_input(
@@ -380,17 +382,9 @@ class QuantizedNetwork:
         self, layer: Layer, plan: QuantizedLayerPlan, x: np.ndarray
     ) -> np.ndarray:
         codes = self._quantize_input(plan, x)
-        operands = np.asarray(codes, dtype=plan.weight_operand.dtype)
         if isinstance(layer, Conv2D):
-            acc = self._int_conv(layer, plan, operands)
-        else:
-            acc = self._int_dense(layer, plan, operands)
-        return requantize(acc, plan.shift)
-
-    def _int_dense(
-        self, layer: Layer, plan: QuantizedLayerPlan, codes: np.ndarray
-    ) -> np.ndarray:
-        assert isinstance(layer, Dense)
+            return self._int_conv(layer, plan, codes)
+        # integer_gemm casts the codes to the operand dtype.
         acc = integer_gemm(
             flatten_spatial(codes),
             plan.weight_operand.T,
@@ -400,12 +394,19 @@ class QuantizedNetwork:
         )
         if plan.bias_codes is not None:
             acc += plan.bias_codes
-        return acc
+        return requantize(acc, plan.shift)
 
     def _int_conv(
-        self, layer: Layer, plan: QuantizedLayerPlan, codes: np.ndarray
+        self, layer: Conv2D, plan: QuantizedLayerPlan, codes: np.ndarray
     ) -> np.ndarray:
-        assert isinstance(layer, Conv2D)
+        """One gather in and one scaled copy out per group.
+
+        The gather casts the int64 codes to the operand dtype while it
+        lays them out as the GEMM's ``(C*k*k, N*P)`` operand.  Integer
+        arithmetic is exact, so one GEMM per group covers the whole
+        (possibly trial-stacked) batch for every geometry: no phase
+        rule, no per-trial slicing.
+        """
         n = codes.shape[0]
         out_c, out_h, out_w = layer.output_shape
         positions = out_h * out_w
@@ -420,30 +421,35 @@ class QuantizedNetwork:
             acc = np.einsum("nchwij,cij->nchw", windows, w_codes[:, 0, :, :])
             if plan.bias_codes is not None:
                 acc += plan.bias_codes[None, :, None, None]
-            return acc
+            return requantize(acc, plan.shift)
         per_group = out_c // layer.groups
         in_per_group = w_codes.shape[1]
-        acc = np.empty((n, out_c, positions), dtype=w_codes.dtype)
+        scratch = KernelScratch(w_codes.dtype)
+        out = np.empty((n, out_c, positions), dtype=np.float64)
         for g in range(layer.groups):
-            x_g = codes[:, g * in_per_group : (g + 1) * in_per_group]
-            cols = im2col(x_g, layer.kernel, layer.stride, layer.padding)
-            fused = cols.transpose(1, 0, 2).reshape(
-                cols.shape[1], n * positions
+            cols = im2col(
+                codes[:, g * in_per_group : (g + 1) * in_per_group],
+                layer.kernel,
+                layer.stride,
+                layer.padding,
+                scratch,
             )
             out_slice = slice(g * per_group, (g + 1) * per_group)
-            flat = integer_gemm(
+            acc = integer_gemm(
                 w_codes[out_slice].reshape(per_group, -1),
-                fused,
+                cols,
                 self.spec.backend,
                 plan.bound,
                 float_accumulator=True,
             )
             if plan.bias_codes is not None:
-                flat += plan.bias_codes[out_slice, None]
-            acc[:, out_slice] = flat.reshape(per_group, n, positions).transpose(
-                1, 0, 2
+                acc += plan.bias_codes[out_slice, None]
+            requantize(
+                acc.reshape(per_group, n, positions).transpose(1, 0, 2),
+                plan.shift,
+                out=out[:, out_slice],
             )
-        return acc.reshape(n, out_c, out_h, out_w)
+        return out.reshape(n, out_c, out_h, out_w)
 
     def dequantized_weight(self, name: str) -> np.ndarray:
         """The float64 values the packed weights represent (for tests)."""

@@ -31,10 +31,23 @@ def assert_same_bytes(want, got):
 
 
 def assert_kernel_bitwise(layer, x, trial_groups=1, reps=3):
-    """forward and the replay forward == the oracle, across scratch reuse."""
+    """forward and the replay forward == the oracle, across scratch reuse.
+
+    The replay forward of ``trial_groups`` stacked trials must equal the
+    oracle run on each trial alone: the depthwise oracle contracts its
+    whole batch, so only the per-trial call is the stacking contract.
+    """
     bind(layer, x)
-    want = reference_forward(layer, [x])
-    assert_same_bytes(want, layer.forward([x]))
+    assert_same_bytes(reference_forward(layer, [x]), layer.forward([x]))
+    # A group count that does not divide the batch means one group.
+    splits = trial_groups if x.shape[0] % trial_groups == 0 else 1
+    per = x.shape[0] // splits
+    want = np.concatenate(
+        [
+            reference_forward(layer, [x[t * per : (t + 1) * per]])
+            for t in range(splits)
+        ]
+    )
     fwd = make_forward_fn(KernelScratch(), trial_groups=trial_groups)
     for _ in range(reps):  # repeated calls exercise buffer reuse
         assert_same_bytes(want, fwd(layer, [x]))
@@ -230,6 +243,21 @@ class TestTrialGroupSlicing:
             groups=2,
         )
         trials = [rng.standard_normal((2, 4, 12, 12)) for _ in range(3)]
+        self._stacked_equals_per_trial(layer, trials)
+
+    def test_depthwise_stacked_batch_one(self):
+        # Eight stacked batch-1 trials, as injection replay stacks them:
+        # the depthwise einsum picks its reduction loops by batch size.
+        layer = Conv2D(
+            "dw",
+            ["i"],
+            rng.standard_normal((32, 1, 3, 3)),
+            rng.standard_normal(32),
+            stride=1,
+            padding=1,
+            groups=32,
+        )
+        trials = [rng.standard_normal((1, 32, 14, 14)) for _ in range(8)]
         self._stacked_equals_per_trial(layer, trials)
 
     def test_dense_stacked(self):

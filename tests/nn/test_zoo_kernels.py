@@ -6,6 +6,9 @@
   sigma search's accuracy passes.
 * Every layer but ``Dense`` and the depthwise convolutions is batch
   invariant: a batch of B gives the same bytes as B batch-1 calls.
+* Every ``Conv2D`` and ``Dense`` layer is trial-batch invariant: with
+  ``trial_groups=R`` a stack of R batch-1 trials gives the bytes of R
+  unstacked calls, as injection replay needs.
 """
 
 import numpy as np
@@ -13,6 +16,7 @@ import pytest
 
 from repro.models import MODEL_NAMES, build_model
 from repro.nn import Conv2D, Dense
+from repro.nn.kernels import conv2d, dense
 from tests.nn.reference_layers import reference_forward
 
 MODELS = ["lenet", *MODEL_NAMES]
@@ -70,6 +74,25 @@ def test_layers_are_batch_invariant(net):
         whole = layer.forward(arrays)
         singles = np.concatenate(
             [layer.forward([a[i : i + 1] for a in arrays]) for i in range(batch)]
+        )
+        if whole.tobytes() != singles.tobytes():
+            variant.append(layer.name)
+    assert not variant
+
+
+def test_stacked_trials_match_unstacked_calls(net):
+    trials = 8
+    x = np.random.default_rng(5).standard_normal((trials,) + net.input_shape)
+    values = net.run_all(x)
+    variant = []
+    for layer in net.layers:
+        if not isinstance(layer, (Conv2D, Dense)):
+            continue
+        kernel = conv2d if isinstance(layer, Conv2D) else dense
+        stacked = values[layer.inputs[0]]
+        whole = kernel(layer, stacked, trial_groups=trials)
+        singles = np.concatenate(
+            [kernel(layer, stacked[i : i + 1]) for i in range(trials)]
         )
         if whole.tobytes() != singles.tobytes():
             variant.append(layer.name)

@@ -105,3 +105,12 @@ class TestRequantize:
     def test_negative_shift_scales_up(self):
         acc = np.array([3], dtype=np.int64)
         assert requantize(acc, -2)[0] == 12.0
+
+    def test_out_receives_the_same_bits_through_any_strides(self):
+        acc = np.array([[3, -5, 0], [1 << 52, 7, -1]], dtype=np.int64)
+        for operand in (acc, acc.astype(np.float64)):
+            out = np.full((3, 2), np.nan)
+            returned = requantize(operand.T, 4, out=out[:, ::-1])
+            assert returned.base is out
+            want = requantize(operand, 4).T[:, ::-1]
+            assert out.tobytes() == np.ascontiguousarray(want).tobytes()
