@@ -19,7 +19,7 @@ bench:           ## default benchmark subset (one network per family)
 bench-full:      ## all eight paper networks (long)
 	REPRO_BENCH_FULL=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only -q -s
 
-bench-profiler:  ## profiler scaling: legacy vs engine vs --jobs (writes BENCH_profiler.json)
+bench-profiler:  ## profiler scaling: serial vs --jobs threads (writes BENCH_profiler.json)
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_profiler_scaling.py
 
 bench-cache:     ## persistent cache: cold vs warm vs sweep (writes BENCH_cache.json)

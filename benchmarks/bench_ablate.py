@@ -187,7 +187,7 @@ def main(argv=None) -> int:
     parser.add_argument("--objective", default="input")
     parser.add_argument(
         "--components",
-        default="fallback,xi,kernels,cache,scheme",
+        default="fallback,xi,cache,scheme",
         help="comma-separated matrix components ('all' for every one)",
     )
     parser.add_argument(

@@ -1,35 +1,27 @@
-"""Injection-campaign scaling benchmark (ISSUE 3 acceptance evidence).
+"""Injection-campaign scaling benchmark: serial vs ``--jobs N`` threads.
 
 Times the Sec. V-A lambda/theta profiling campaign on the same network
-through four execution paths and writes ``BENCH_profiler.json``:
+through the engine's two execution paths and writes
+``BENCH_profiler.json``:
 
-* ``legacy``      — the pre-engine serial loop (``use_engine=False``):
-                    one ``forward_from`` replay per (layer, delta,
-                    repeat, batch) trial, through ``layer.forward``
-                    (the same layer kernels on fresh buffers).
-* ``engine``      — the injection engine with ``trial_batch=1``
-                    (replay plans + kernels on reused buffers, no
-                    multi-trial stacking).
-* ``vectorized``  — the engine with its default trial batching: R
-                    noise draws stacked along the batch axis per
-                    ``forward_from_many`` replay.
-* ``jobs``        — ``vectorized`` plus a worker pool across layers
-                    (``--jobs N``, thread backend).
+* ``serial`` — the layer-major loop: one ``forward_from`` replay per
+  (layer, batch, delta, repeat) trial, layer after layer.
+* ``jobsN``  — the same loop with whole layers on a thread pool of
+  ``--jobs N`` workers (capped at the available cores; the payload
+  records the count that ran).
 
-All four paths share the per-(layer, batch, delta, repeat)
-``SeedSequence`` RNG contract, so the fitted lambda/theta must be
-bit-identical; the script asserts this and exits non-zero otherwise
-(CI runs it at smoke sizes for exactly that regression check).
+Both paths draw every trial from the same coordinate-keyed
+``SeedSequence`` stream and reduce in a fixed order, so the fitted
+lambda/theta must be bit-identical; the script asserts this and exits
+non-zero otherwise (CI runs it at smoke sizes for exactly that check).
 
 Timing is best-of-``--repeats`` wall clock: the hosts this runs on
 share cores, and the minimum is the standard noise-robust estimator.
-Note that on a single-core host the ``jobs`` row cannot beat
-``vectorized`` — the speedup evidence there is carried by replay
-planning, vectorization and buffer reuse.  Every path runs the same
-layer kernels (:mod:`repro.nn.kernels`).
+Defaults are the paper's profiling budget (50 images, 20 delta points,
+2 repeats) on alexnet, nin, resnet50 and mobilenet.
 
 Run ``python benchmarks/bench_profiler_scaling.py --help`` for knobs;
-``make bench-profiler`` runs the full AlexNet/NiN configuration.
+``make bench-profiler`` runs the default configuration.
 """
 
 from __future__ import annotations
@@ -52,29 +44,16 @@ from repro.models import build_model, lsuv_calibrate  # noqa: E402
 from repro.telemetry import build_manifest  # noqa: E402
 
 SEED = 20190325
-BACKEND = "thread"
 
 
-def profile_once(
-    network,
-    images,
-    settings: ProfileSettings,
-    *,
-    use_engine: bool,
-    parallel: ParallelSettings,
-) -> tuple:
+def profile_once(network, images, settings: ProfileSettings, jobs: int):
     profiler = ErrorProfiler(
-        network,
-        images,
-        settings,
-        parallel=parallel,
-        use_engine=use_engine,
+        network, images, settings, parallel=ParallelSettings(jobs=jobs)
     )
     start = time.perf_counter()
     report = profiler.profile()
     elapsed = time.perf_counter() - start
-    fits = {p.name: (p.lam, p.theta) for p in report}
-    return elapsed, fits, report
+    return elapsed, report
 
 
 def bench_model(
@@ -96,38 +75,28 @@ def bench_model(
         num_repeats=num_repeats,
         seed=SEED,
     )
-    paths = {
-        "legacy": dict(use_engine=False, parallel=ParallelSettings()),
-        "engine": dict(
-            use_engine=True, parallel=ParallelSettings(trial_batch=1)
-        ),
-        "vectorized": dict(use_engine=True, parallel=ParallelSettings()),
-        f"jobs{jobs}": dict(
-            use_engine=True,
-            parallel=ParallelSettings(jobs=jobs, backend=BACKEND),
-        ),
-    }
+    paths = {"serial": 1, f"jobs{jobs}": jobs}
     times: Dict[str, float] = {}
     fits: Dict[str, Dict[str, tuple]] = {}
-    for label, kwargs in paths.items():
+    workers: Dict[str, int] = {}
+    for label, path_jobs in paths.items():
         best = float("inf")
         for _ in range(timing_repeats):
-            elapsed, fit, _ = profile_once(network, images, settings, **kwargs)
+            elapsed, report = profile_once(network, images, settings, path_jobs)
             best = min(best, elapsed)
         times[label] = best
-        fits[label] = fit
-        print(f"  {model}/{label:<12} best of {timing_repeats}: {best:.3f}s")
+        fits[label] = {p.name: (p.lam, p.theta) for p in report}
+        workers[label] = report.jobs
+        print(f"  {model}/{label:<8} best of {timing_repeats}: {best:.3f}s")
 
-    mismatches: List[str] = []
-    reference = fits["legacy"]
-    for label, fit in fits.items():
-        if fit != reference:
-            mismatches.append(label)
-    speedup = times["legacy"] / times[f"jobs{jobs}"]
-    vector_speedup = times["legacy"] / times["vectorized"]
+    reference = fits["serial"]
+    mismatches: List[str] = [
+        label for label, fit in fits.items() if fit != reference
+    ]
+    speedup = times["serial"] / times[f"jobs{jobs}"]
     print(
-        f"  {model}: speedup legacy->vectorized {vector_speedup:.2f}x, "
-        f"legacy->jobs{jobs} {speedup:.2f}x, "
+        f"  {model}: serial->jobs{jobs} {speedup:.2f}x "
+        f"({workers[f'jobs{jobs}']} workers ran), "
         f"fits {'BIT-IDENTICAL' if not mismatches else 'MISMATCH'}"
     )
     return {
@@ -137,10 +106,9 @@ def bench_model(
         "num_delta_points": num_points,
         "num_repeats": num_repeats,
         "jobs": jobs,
-        "backend": BACKEND,
+        "workers": workers,
         "timing_repeats": timing_repeats,
         "seconds": times,
-        "speedup_vectorized": vector_speedup,
         "speedup_jobs": speedup,
         "bit_identical": not mismatches,
         "mismatched_paths": mismatches,
@@ -155,17 +123,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--models",
-        default="alexnet,nin",
+        default="alexnet,nin,resnet50,mobilenet",
         help="comma-separated zoo models to benchmark",
     )
-    parser.add_argument("--images", type=int, default=24)
-    parser.add_argument("--points", type=int, default=8)
+    parser.add_argument("--images", type=int, default=50)
+    parser.add_argument("--points", type=int, default=20)
     parser.add_argument("--num-repeats", type=int, default=2)
-    parser.add_argument("--jobs", type=int, default=4)
+    parser.add_argument("--jobs", type=int, default=2)
     parser.add_argument(
         "--repeats",
         type=int,
-        default=3,
+        default=2,
         help="timing repetitions per path (best-of)",
     )
     parser.add_argument(
@@ -207,7 +175,6 @@ def main(argv=None) -> int:
             "points": args.points,
             "num_repeats": args.num_repeats,
             "jobs": args.jobs,
-            "backend": BACKEND,
             "timing_repeats": args.repeats,
             "smoke": args.smoke,
         },

@@ -13,9 +13,8 @@ integer low-bit runtime (``repro.quant.runtime``) and writes
   is flagged in the JSON and fails the run;
 * **accuracy** — measured top-1 drop under true integer execution vs
   the user budget;
-* **bit-identity** — reference vs fast backends, packed vs unpacked
-  activations, and batched ``forward_from_many`` vs sequential
-  ``forward``, all compared with exact array equality.
+* **bit-identity** — reference vs fast backends and packed vs unpacked
+  activations, compared with exact array equality.
 
 The script exits non-zero on any bit-identity violation, traffic
 divergence beyond tolerance, or accuracy-budget violation — CI runs it
@@ -73,7 +72,7 @@ def forward_all(run_batch, images: np.ndarray, batch_size: int) -> None:
 def check_bit_identity(
     context, allocation, batch: np.ndarray
 ) -> Dict[str, bool]:
-    """Exact-equality checks across backends, packing, and batching."""
+    """Exact-equality checks across backends and packing."""
     outputs = {}
     for backend in ("reference", "fast"):
         net = QuantizedNetwork(
@@ -85,18 +84,12 @@ def check_bit_identity(
         allocation,
         RuntimeSpec(backend="fast", pack_activations=False),
     ).forward(batch)
-    many_net = QuantizedNetwork(context.network, allocation, RuntimeSpec())
-    half = batch.shape[0] // 2 or 1
-    batches = [batch[:half], batch[half : 2 * half]]
-    stacked = many_net.forward_from_many(batches)
-    sequential = np.stack([many_net.forward(b) for b in batches])
     checks = {
         "backends": all(
             np.array_equal(outputs["reference"], out)
             for out in outputs.values()
         ),
         "packed_vs_unpacked": np.array_equal(outputs["fast"], unpacked),
-        "batched_vs_sequential": np.array_equal(stacked, sequential),
     }
     return checks
 

@@ -10,8 +10,8 @@ method end to end on a pure-numpy substrate:
 * :mod:`repro.quant` — fixed-point formats and bit accounting.
 * :mod:`repro.hardware` — MAC energy / bandwidth / accelerator models.
 * :mod:`repro.analysis` — lambda/theta profiling and sigma search.
-* :mod:`repro.engine` — vectorized, optionally parallel injection
-  campaigns (replay plans, trial batching, worker pools).
+* :mod:`repro.engine` — the injection-campaign loop, serial or on a
+  thread pool across layers.
 * :mod:`repro.optimize` — multi-objective xi optimization (Eq. 8).
 * :mod:`repro.baselines` — uniform / equal-scheme / search baselines.
 * :mod:`repro.weights` — weight bitwidth search (Sec. V-E).

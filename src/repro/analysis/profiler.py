@@ -23,8 +23,7 @@ import numpy as np
 
 from ..cache import ResultCache, array_digest, make_key, network_digest
 from ..config import ParallelSettings, ProfileSettings
-from ..engine.campaign import InjectionEngine, enforce_finite_trial
-from ..engine.rng import trial_rng
+from ..engine.campaign import InjectionEngine
 from ..errors import ProfilingError
 from ..nn.graph import Network
 from ..resilience.guards import (
@@ -34,7 +33,6 @@ from ..resilience.guards import (
     enforce,
 )
 from ..telemetry.session import Telemetry
-from .injection import uniform_noise_tap
 from .regression import LinearFit, fit_line
 
 
@@ -74,14 +72,15 @@ class ProfileReport:
     profiles: Dict[str, LayerErrorProfile]
     num_images: int
     elapsed_seconds: float
-    #: Per-stage wall-clock seconds (plan/reference/replay/reduce/fit)
+    #: Per-stage wall-clock seconds (reference/replay/reduce/fit)
     #: from the engine's instrumentation; empty for reports assembled
     #: outside a campaign (e.g. resumed from disk).
     timings: Dict[str, float] = field(default_factory=dict)
     #: Fraction of total network MACs each layer's replay recomputes
     #: (``graphutils.replay_cost_fraction``).
     replay_fractions: Dict[str, float] = field(default_factory=dict)
-    #: Worker count the campaign ran with (1 = serial).
+    #: Workers the campaign ran on: ``jobs`` capped at the available
+    #: cores (1 = serial).
     jobs: int = 1
     #: Layers whose (sq_sums, counts) came from the persistent result
     #: cache instead of a fresh injection campaign.
@@ -121,7 +120,6 @@ class ErrorProfiler:
         delta_relative: bool = True,
         strict: bool = False,
         parallel: Optional[ParallelSettings] = None,
-        use_engine: bool = True,
         telemetry: Optional[Telemetry] = None,
         cache: Optional[ResultCache] = None,
     ):
@@ -129,24 +127,18 @@ class ErrorProfiler:
         self.images = np.asarray(images, dtype=np.float64)
         self.settings = settings or ProfileSettings()
         self.batch_size = batch_size
-        #: Engine execution knobs (jobs, backend, trial batching).
+        #: Engine execution knobs (jobs, retries).
         self.parallel = parallel or ParallelSettings()
         #: Persistent result cache (None = off).  Each layer's raw
         #: (sq_sums, counts) campaign output is cached independently, so
         #: adding one layer to a profiled network only pays for the
-        #: delta.  Keys exclude jobs/backend/trial batching: the engine
-        #: guarantees bit-identical sums across those knobs.
+        #: delta.  Keys exclude jobs: the engine guarantees bit-identical
+        #: sums for any worker count.
         self.cache = cache
         self._net_digest: Optional[str] = None
         #: Observability session shared with the engine (spans/metrics
         #: only; never feeds back into the measurements).
         self.telemetry = Telemetry.create(telemetry)
-        #: Route the campaign through the vectorized injection engine
-        #: (the default).  ``False`` keeps the one-trial-at-a-time
-        #: replay loop — same per-trial RNG streams, same bits — and
-        #: exists as the benchmark baseline and a differential oracle
-        #: for the engine.
-        self.use_engine = use_engine
         #: When true, each layer's delta grid spans a fixed fraction of
         #: that layer's input scale (keeps the regression in the regime
         #: where the linear model holds for layers of any magnitude).
@@ -182,7 +174,7 @@ class ErrorProfiler:
         Everything that determines the bits of (sq_sums, counts) is
         here: the trial RNG streams are keyed on (seed, layer position,
         batch index, grid index, repeat), so ``batch_size`` belongs in
-        the key while worker counts and backends do not.
+        the key while worker counts do not.
         """
         return make_key(
             {
@@ -321,9 +313,7 @@ class ErrorProfiler:
             num_images=num_images,
             num_delta_points=settings.num_delta_points,
             num_repeats=settings.num_repeats,
-            use_engine=self.use_engine,
             jobs=self.parallel.jobs,
-            backend=self.parallel.backend,
             cache_hits=len(cached_sums),
         ):
             timings: Dict[str, float] = {}
@@ -347,38 +337,23 @@ class ErrorProfiler:
                     )
 
             if missing:
-                missing_grids = {name: grids[name] for name in missing}
-                if self.use_engine:
-                    engine = InjectionEngine(
-                        self.network,
-                        self.parallel,
-                        telemetry=self.telemetry,
-                        cache=self.cache,
-                    )
-                    campaign = engine.run(
-                        images,
-                        missing_grids,
-                        num_repeats=settings.num_repeats,
-                        seed=settings.seed,
-                        batch_size=self.batch_size,
-                        progress=progress,
-                        on_layer=publish,
-                    )
-                    sq_sums.update(campaign.sq_sums)
-                    counts.update(campaign.counts)
-                    timings = campaign.timings.as_dict()
-                    replay_fractions = campaign.replay_fractions
-                    jobs = campaign.jobs
-                else:
-                    # The legacy loop is batch-major: every layer
-                    # finishes on the last batch, so all publish then.
-                    fresh_sums, fresh_counts = self._profile_serial(
-                        images, missing_grids, missing, num_images, progress
-                    )
-                    sq_sums.update(fresh_sums)
-                    counts.update(fresh_counts)
-                    for name in missing:
-                        publish(name, sq_sums[name], counts[name])
+                engine = InjectionEngine(
+                    self.network, self.parallel, telemetry=self.telemetry
+                )
+                campaign = engine.run(
+                    images,
+                    {name: grids[name] for name in missing},
+                    num_repeats=settings.num_repeats,
+                    seed=settings.seed,
+                    batch_size=self.batch_size,
+                    progress=progress,
+                    on_layer=publish,
+                )
+                sq_sums.update(campaign.sq_sums)
+                counts.update(campaign.counts)
+                timings = campaign.timings.as_dict()
+                replay_fractions = campaign.replay_fractions
+                jobs = campaign.jobs
 
             fit_start = time.perf_counter()
             profiles: Dict[str, LayerErrorProfile] = {}
@@ -437,55 +412,3 @@ class ErrorProfiler:
             jobs=jobs,
             cache_hits=len(cached_sums),
         )
-
-    def _profile_serial(
-        self,
-        images: np.ndarray,
-        grids: Dict[str, np.ndarray],
-        names: Sequence[str],
-        num_images: int,
-        progress: bool,
-    ):
-        """The pre-engine trial-at-a-time loop (benchmark baseline).
-
-        Uses the same per-trial ``SeedSequence``-spawned RNG streams as
-        the engine (coordinate-keyed, not loop-order-coupled), so its
-        sigmas are bitwise identical to the engine's for any execution
-        strategy — the engine's differential test oracle.
-        """
-        settings = self.settings
-        positions = {
-            layer.name: index
-            for index, layer in enumerate(self.network.layers)
-        }
-        sq_sums = {name: np.zeros(settings.num_delta_points) for name in names}
-        counts = {name: np.zeros(settings.num_delta_points) for name in names}
-        output_name = self.network.output_name
-        for batch_start in range(0, num_images, self.batch_size):
-            batch = images[batch_start : batch_start + self.batch_size]
-            batch_index = batch_start // self.batch_size
-            cache = self.network.run_all(batch)
-            reference = cache[output_name]
-            for name in names:
-                grid = grids[name]
-                for j, delta in enumerate(grid):
-                    for repeat in range(settings.num_repeats):
-                        rng = trial_rng(
-                            settings.seed,
-                            positions[name],
-                            batch_index,
-                            j,
-                            repeat,
-                        )
-                        tap = uniform_noise_tap(float(delta), rng)
-                        perturbed = self.network.forward_from(cache, name, tap)
-                        err = perturbed - reference
-                        sq_sum = float((err * err).sum())
-                        if not np.isfinite(sq_sum):
-                            enforce_finite_trial(perturbed, name, float(delta))
-                        sq_sums[name][j] += sq_sum
-                        counts[name][j] += err.size
-            if progress:  # pragma: no cover - console nicety
-                done = min(batch_start + self.batch_size, num_images)
-                print(f"  profiled {done}/{num_images} images")
-        return sq_sums, counts

@@ -1,7 +1,7 @@
 """Persistent content-addressed result cache (``docs/caching.md``).
 
-Every expensive quantity the paper's pipeline computes — clean
-activations, per-layer Eq. 5 fits, sigma-search accuracy evaluations,
+Every expensive quantity the paper's pipeline computes — per-layer
+Eq. 5 fits, sigma-search accuracy evaluations,
 final bit allocations — is a pure, deterministic function of the model
 weights, the calibration images, the seed, the probe grid, and the code
 version.  This package stores those quantities on disk under keys

@@ -2,7 +2,7 @@
 
 A cache entry is only reusable when *every* input that determines the
 bits of the stored result is part of its key.  For this repository the
-expensive quantities — clean activations, per-layer Eq. 5 regressions,
+expensive quantities — per-layer Eq. 5 regressions,
 sigma-search accuracy evaluations, final bit allocations — are pure
 functions of:
 
@@ -13,8 +13,7 @@ functions of:
 * the delta/sigma **grid** probed, and
 * the **code version** of the numerics (:data:`CODE_SALT`).
 
-Anything else — worker counts, pool backend, trial batching, telemetry
-— is excluded *by design*: the engine's determinism contract guarantees
+Anything else — worker counts, telemetry — is excluded *by design*: the engine's determinism contract guarantees
 bit-identical results across those knobs (``docs/performance.md``), so
 including them would only fragment the cache.
 
@@ -90,11 +89,7 @@ KEY_FIELD_REGISTRY: Dict[str, Dict[str, str]] = {
     },
     "ParallelSettings": {
         "jobs": EXCLUDED_BY_CONTRACT,
-        "backend": EXCLUDED_BY_CONTRACT,
-        "trial_batch": EXCLUDED_BY_CONTRACT,
         "transient_retries": NON_NUMERIC,
-        "fast_kernels": EXCLUDED_BY_CONTRACT,
-        "tune_allocator": EXCLUDED_BY_CONTRACT,
     },
     "TelemetrySettings": {
         "enabled": NON_NUMERIC,
@@ -118,7 +113,6 @@ KEY_FIELD_REGISTRY: Dict[str, Dict[str, str]] = {
         "seed": KEYED,
         "strict": KEYED,
         "jobs": EXCLUDED_BY_CONTRACT,
-        "parallel_backend": EXCLUDED_BY_CONTRACT,
         "telemetry": NON_NUMERIC,
         "trace_out": NON_NUMERIC,
         "events_dir": NON_NUMERIC,

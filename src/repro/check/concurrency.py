@@ -1,8 +1,8 @@
 """Pass 3 — concurrency static analysis (shared state across workers).
 
-The engine dispatches layer campaigns to thread and process pools
-(:mod:`repro.engine.campaign`), the sweep scheduler fans cells out
-through the same machinery, and the telemetry registries are mutated
+The engine dispatches layer campaigns to a thread pool
+(:mod:`repro.engine.campaign`), the distributed sweep fans cells out
+to worker threads and processes, and the telemetry registries are mutated
 from every worker thread.  Each of those designs rests on a contract
 that nothing in Python enforces; these checkers enforce them at review
 time, over source text, with no execution:
@@ -14,8 +14,8 @@ time, over source text, with no execution:
     data race; under processes it is worse — the write lands in a
     copy and silently disagrees with the parent.  Exemption: functions
     installed as a ``ProcessPoolExecutor`` *initializer* — per-process
-    module state set up before any task runs (the
-    ``engine.parallel._WORKER_STATE`` idiom) is the sanctioned pattern.
+    module state set up before any task runs — is the sanctioned
+    pattern.
 ``unlocked-registry-write``
     A class that owns a ``threading.Lock``/``RLock`` (assigned to a
     ``self`` attribute in ``__init__``) mutates another ``self``
@@ -32,7 +32,7 @@ time, over source text, with no execution:
     its ``initargs``.  Locks and mmaps do not survive pickling; handles
     that *appear* to pickle (via fd inheritance) alias kernel state
     between processes.  Pass names/descriptors and re-open in the
-    worker (the ``SharedCaches`` pattern).
+    worker.
 ``unpicklable-task``
     A ``lambda`` or a locally-defined (nested) function submitted to a
     ``ProcessPoolExecutor``.  Both fail to pickle at dispatch time in

@@ -97,12 +97,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--parallel-backend",
-        choices=["thread", "process"],
-        default="thread",
-        help="engine pool backend (process = shared-memory workers)",
-    )
-    parser.add_argument(
         "--strict",
         action="store_true",
         help=(
@@ -142,7 +136,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default="",
         metavar="DIR",
         help=(
-            "persist expensive results (activations, fits, sigma "
+            "persist expensive results (fits, sigma "
             "evaluations, outcomes) content-addressed under DIR and "
             "reuse them across runs; $REPRO_CACHE_DIR also enables "
             "this (see docs/caching.md)"
@@ -166,7 +160,6 @@ def _config(args: argparse.Namespace) -> ExperimentConfig:
         seed=args.seed,
         strict=args.strict,
         jobs=args.jobs,
-        parallel_backend=args.parallel_backend,
         telemetry=args.telemetry,
         trace_out=args.trace_out,
         events_dir=args.events_dir,
@@ -995,7 +988,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         help=(
             "comma-separated component toggles to ablate "
-            "(fallback,xi,kernels,cache,scheme,backend; default all)"
+            "(fallback,xi,cache,scheme,backend; default all)"
         ),
     )
     p.add_argument(

@@ -91,48 +91,26 @@ class SearchSettings:
 
 @dataclass(frozen=True)
 class ParallelSettings:
-    """Execution knobs for the vectorized injection engine.
+    """Execution knobs for the injection engine.
 
     The engine's determinism contract (``docs/performance.md``): fitted
-    lambda/theta are bitwise identical for any ``jobs``, ``backend``,
-    ``trial_batch``, and work order, because every trial draws from its
-    own ``np.random.SeedSequence``-spawned stream and partial sums are
+    lambda/theta are bitwise identical for any ``jobs`` and work order,
+    because every trial draws from its own
+    ``np.random.SeedSequence``-spawned stream and per-trial sums are
     reduced in a fixed order.
     """
 
     #: Worker count for the layer-level campaign pool.  1 = run inline
-    #: (no pool); N > 1 fans the per-layer injection campaigns out to a
-    #: ``concurrent.futures`` pool.
+    #: (no pool); N > 1 runs the per-layer injection campaigns on a
+    #: thread pool of N workers, capped at the available cores.
     jobs: int = 1
-    #: "thread" shares the clean activation caches directly (numpy
-    #: releases the GIL inside BLAS/ufunc kernels); "process" ships them
-    #: through shared memory and pays a spawn + pickle cost, which only
-    #: amortizes for large campaigns.
-    backend: str = "thread"
-    #: Noise draws stacked along the batch axis per replay pass.  Small
-    #: chunks keep the working set near cache; large chunks amortize
-    #: more Python/im2col overhead per pass.
-    trial_batch: int = 4
     #: Retries for worker tasks that fail with a TransientError before
     #: the failure is surfaced as a ProfilingError.
     transient_retries: int = 2
-    #: Replay through :func:`repro.engine.kernels.make_forward_fn`
-    #: (reused buffers, GEMMs sliced per trial).  ``False`` replays
-    #: through ``layer.forward``: the same kernels on fresh buffers,
-    #: with no per-trial GEMM slicing.  Results are identical.
-    fast_kernels: bool = True
-    #: Raise glibc's mmap/trim thresholds once per process so large
-    #: replay temporaries recycle freed arenas instead of paying a page
-    #: fault per touched page (no-op on non-glibc platforms).
-    tune_allocator: bool = True
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.backend not in ("thread", "process"):
-            raise ValueError('backend must be "thread" or "process"')
-        if self.trial_batch < 1:
-            raise ValueError("trial_batch must be >= 1")
         if self.transient_retries < 0:
             raise ValueError("transient_retries must be >= 0")
 

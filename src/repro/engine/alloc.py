@@ -1,7 +1,7 @@
 """Process-wide allocator tuning for large replay temporaries.
 
-Vectorized replay allocates multi-megabyte numpy temporaries (stacked
-inputs, im2col matrices, GEMM outputs) in a tight loop.  glibc's malloc
+Injection replay allocates multi-megabyte numpy temporaries (noise,
+im2col matrices, GEMM outputs) in a tight loop.  glibc's malloc
 serves requests above ``M_MMAP_THRESHOLD`` (128 KiB by default) with
 fresh ``mmap`` regions that are unmapped on free — so every iteration
 re-faults every page it touches.  Raising the mmap and trim thresholds

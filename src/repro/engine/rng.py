@@ -11,8 +11,8 @@ noise from a dedicated generator seeded by
 (constructed directly via the equivalent ``spawn_key``, which avoids
 materializing intermediate children).  Because the stream depends only
 on the coordinate — never on execution order — the campaign produces
-bit-identical sigmas regardless of worker count, trial batching, or
-the order layers and batches are visited in.  This also fixes the old
+bit-identical sigmas regardless of worker count or the order layers
+and batches are visited in.  This also fixes the old
 profiler coupling where one ``default_rng(seed)`` threaded through the
 nested loop made every layer's sigmas depend on every loop before it.
 """

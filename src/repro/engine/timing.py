@@ -1,10 +1,8 @@
 """Per-stage timing instrumentation for injection campaigns.
 
-The engine accounts wall-clock time to four stages so a slow profiling
-run can be diagnosed at a glance (and so ``docs/performance.md`` can
-report where the speedups come from):
+The engine accounts wall-clock time to its stages so a slow profiling
+run can be diagnosed at a glance (see ``docs/performance.md``):
 
-``plan``       replay-plan construction (memoized; near-zero after warmup)
 ``reference``  clean forward passes that build the activation caches
 ``replay``     the injection trials themselves (the dominant stage)
 ``fit``        per-layer regression + diagnostics

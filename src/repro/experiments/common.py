@@ -47,8 +47,6 @@ class ExperimentConfig:
     #: Worker count for the injection engine's layer-level pool
     #: (``--jobs``; 1 = serial, deterministic either way).
     jobs: int = 1
-    #: Engine pool backend: "thread" or "process".
-    parallel_backend: str = "thread"
     #: Collect tracing spans and metrics (``--telemetry``); numerical
     #: results are bit-identical on or off.
     telemetry: bool = False
@@ -81,9 +79,7 @@ class ExperimentConfig:
         )
 
     def parallel_settings(self) -> ParallelSettings:
-        return ParallelSettings(
-            jobs=self.jobs, backend=self.parallel_backend
-        )
+        return ParallelSettings(jobs=self.jobs)
 
     def telemetry_settings(self) -> TelemetrySettings:
         return TelemetrySettings(

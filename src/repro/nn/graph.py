@@ -30,9 +30,8 @@ from .tensor import assert_batched
 
 Tap = Callable[[np.ndarray], np.ndarray]
 
-#: Forward override hook: ``(layer, arrays) -> output``.  Used by the
-#: injection engine to run the layer kernels on reused buffers during
-#: replay (see :mod:`repro.engine.kernels`) and by the quantized runtime.
+#: Forward override hook: ``(layer, arrays) -> output``.  The quantized
+#: runtime uses it to run its integer layers inside :meth:`Network.forward`.
 ForwardFn = Callable[[Layer, Sequence[np.ndarray]], np.ndarray]
 
 #: Reserved producer name for the network input tensor.
@@ -215,8 +214,8 @@ class Network:
         Intermediate activations are freed as soon as no remaining layer
         consumes them, so deep networks run in bounded memory.  When
         ``forward_fn`` is given, it replaces ``layer.forward`` for every
-        layer (the substitution hook the engine's replay and the quantized
-        runtime use; see :data:`ForwardFn`).
+        layer (the substitution hook the quantized runtime uses; see
+        :data:`ForwardFn`).
         """
         self._check_input(x)
         if taps:
@@ -291,7 +290,6 @@ class Network:
         cache: ActivationCache,
         start: str,
         tap: Tap,
-        forward_fn: Optional[ForwardFn] = None,
     ) -> np.ndarray:
         """Replay from layer ``start`` with ``tap`` applied to its input.
 
@@ -315,10 +313,7 @@ class Network:
             ]
             if layer.name == start:
                 arrays[0] = tap(arrays[0])
-            if forward_fn is None:
-                out = layer.forward(arrays)
-            else:
-                out = forward_fn(layer, arrays)
+            out = layer.forward(arrays)
             dirty[layer.name] = out
             if layer.name == output:
                 result = out
@@ -327,78 +322,6 @@ class Network:
                     del dirty[name]
         assert result is not None
         return result
-
-    def forward_from_many(
-        self,
-        cache: ActivationCache,
-        start: str,
-        taps: Sequence[Tap],
-        forward_fn: Optional[ForwardFn] = None,
-    ) -> np.ndarray:
-        """Vectorized replay: R tapped draws in one batched pass.
-
-        Stacks ``len(taps)`` perturbed copies of ``start``'s input along
-        the batch axis and replays the downstream closure once, tiling
-        only the clean values the closure consumes.  Because every layer
-        operates per-sample, the result is bitwise identical to calling
-        :meth:`forward_from` once per tap — but R replays share each
-        layer's im2col/GEMM setup, which is what makes dense injection
-        campaigns affordable (see ``docs/performance.md``).
-
-        Returns an array of shape ``(R, B, *output_shape)`` where ``B``
-        is the cache's batch size: ``result[i]`` is the output for
-        ``taps[i]``.
-        """
-        if not taps:
-            raise GraphError("forward_from_many needs at least one tap")
-        plan = self.replay_plan(start)
-        output = self.output_name
-        repeats = len(taps)
-        batch = cache.batch_size
-        if not plan.reaches_output:
-            clean = cache[output]
-            tiled = np.broadcast_to(
-                clean, (repeats,) + clean.shape
-            )
-            return np.ascontiguousarray(tiled)
-        dirty: Dict[str, np.ndarray] = {}
-        last_use = plan.last_use
-        tiled_clean: Dict[str, np.ndarray] = {}
-
-        def tile(name: str) -> np.ndarray:
-            value = tiled_clean.get(name)
-            if value is None:
-                value = np.concatenate([cache[name]] * repeats, axis=0)
-                tiled_clean[name] = value
-            return value
-
-        result: Optional[np.ndarray] = None
-        for index in plan.layer_indices:
-            layer = self._layers[index]
-            if layer.name == start:
-                source = cache[layer.inputs[0]]
-                arrays = [
-                    np.concatenate([tap(source) for tap in taps], axis=0)
-                ] + [
-                    dirty[n] if n in dirty else tile(n)
-                    for n in layer.inputs[1:]
-                ]
-            else:
-                arrays = [
-                    dirty[n] if n in dirty else tile(n) for n in layer.inputs
-                ]
-            if forward_fn is None:
-                out = layer.forward(arrays)
-            else:
-                out = forward_fn(layer, arrays)
-            dirty[layer.name] = out
-            if layer.name == output:
-                result = out
-            for name in list(dirty):
-                if last_use.get(name, -1) <= index and name != output:
-                    del dirty[name]
-        assert result is not None
-        return result.reshape((repeats, batch) + result.shape[1:])
 
     # ------------------------------------------------------------------
     # Internals
@@ -424,14 +347,6 @@ class Network:
             for producer in layer.inputs:
                 last[producer] = index
         return last
-
-    def _dirty_last_use(self, start: str) -> Dict[str, int]:
-        """Last-use indices restricted to the downstream closure of start.
-
-        Kept for backward compatibility; the computation now lives in
-        (and is memoized by) :meth:`replay_plan`.
-        """
-        return dict(self.replay_plan(start).last_use)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -1,12 +1,8 @@
 """Layer kernels: the one implementation behind every layer forward.
 
 ``Conv2D.forward``, ``Dense.forward``, ``MaxPool2D.forward``,
-``LRN.forward`` and ``ReLU.forward`` call the functions below with a
-fresh :class:`KernelScratch`; the injection engine
-(:func:`repro.engine.kernels.make_forward_fn`) calls the very same
-functions with a scratch it reuses across replay chunks and with the
-number of trials its batch axis stacks.  The arithmetic is the same on
-both routes, only buffer reuse and GEMM slicing differ:
+``LRN.forward`` and ``ReLU.forward`` call the functions below; every
+call writes fresh buffers, so outputs never alias:
 
 * **Convolution** (dense and grouped) gathers its sliding windows once,
   directly into the ``(C*k*k, N*P)`` layout a single GEMM per group
@@ -36,8 +32,7 @@ both routes, only buffer reuse and GEMM slicing differ:
   to an IEEE sum is exact, these sums equal the cumulative sums of a
   zero-padded channel axis bit for bit; the scale, ``** beta`` and
   divide are the same elementwise operations, run into one buffer.
-* **Dense** and **ReLU** are the plain GEMM and ``np.maximum``, written
-  into scratch buffers.
+* **Dense** and **ReLU** are the plain GEMM and ``np.maximum``.
 
 **Batch invariance.**  Because of the phase rule above, every layer
 but ``Dense`` and the depthwise convolution gives the same bytes for a
@@ -45,20 +40,10 @@ batch of ``B`` as for ``B`` batch-1 calls.  ``Dense`` runs one
 ``(N, in) @ (in, out)`` GEMM and the depthwise einsum contracts the
 whole batch; both pick kernels by ``N``.
 
-**Shape stability under trial stacking.**  BLAS picks kernels (and
-therefore accumulation orders) by operand size, and the depthwise
-einsum picks its reduction loops by batch size, so neither is
-guaranteed to reproduce the unstacked bits over a trial-stacked batch.
-``trial_groups`` slices a stacked batch back into per-trial calls for
-every GEMM and for the depthwise einsum, so each call has shapes
-independent of the engine's ``trial_batch`` setting: ``conv2d`` and
-``dense`` over R stacked trials give the bytes of R unstacked calls.
-The slicing costs only Python loop overhead.
-
-**Scratch reuse.**  A :class:`KernelScratch` hands out one buffer per
-(layer, role) key; the engine reuses it across replay chunks, which
-removes allocator churn and keeps the cache footprint constant.  Every
-layer forward passes a fresh one, so its outputs never alias.
+**Scratch.**  A :class:`KernelScratch` hands out one buffer per
+(layer, role) key, so a convolution's groups share their gather and
+GEMM buffers.  The quantized runtime passes one in the GEMM operand
+dtype so its code gather (:func:`fused_im2col`) casts while it copies.
 
 ``tests/nn/reference_layers.py`` keeps the earlier per-sample layer
 implementations as the oracle these kernels are tested against, byte
@@ -84,12 +69,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class KernelScratch:
-    """Reusable buffers keyed by (layer, role[, group]).
-
-    The engine keeps one instance per layer campaign (and therefore per
-    worker): buffers are never shared across threads or processes.
-    Keys are unique per layer, so a buffer is only rewritten when the
-    replay chunk that filled it is already consumed.
+    """Buffers keyed by (layer, role[, group]).
 
     Every buffer has the scratch's ``dtype``: float64 for the layer
     kernels, the GEMM operand dtype for the quantized runtime's code
@@ -170,48 +150,25 @@ def fused_im2col(
     return cols.reshape(c * kernel * kernel, n * out_h * out_w)
 
 
-def _trial_slices(n: int, trial_groups: int) -> Tuple[int, int]:
-    """(splits, rows per split): one split unless the groups divide ``n``."""
-    splits = trial_groups if trial_groups > 1 and n % trial_groups == 0 else 1
-    return splits, n // splits
-
-
-def conv2d(
-    layer: "Conv2D",
-    x: np.ndarray,
-    scratch: Optional[KernelScratch] = None,
-    trial_groups: int = 1,
-) -> np.ndarray:
-    """Convolution forward (see the module docstring for the paths).
-
-    ``trial_groups`` declares how many independent trials the batch
-    axis stacks: each trial's slice runs through its own gather and
-    GEMM, so every BLAS call has the shapes the unstacked call has.
-    """
-    scratch = scratch or KernelScratch()
+def conv2d(layer: "Conv2D", x: np.ndarray) -> np.ndarray:
+    """Convolution forward (see the module docstring for the paths)."""
+    scratch = KernelScratch()
     n = x.shape[0]
     out_c, out_h, out_w = layer.output_shape
     positions = out_h * out_w
     weight = layer.weight
     name = layer.name
     out = scratch.get((name, "out"), (n, out_c, out_h, out_w))
-    splits, per_trial = _trial_slices(n, trial_groups)
     if layer.groups > 1 and layer.groups == x.shape[1] and weight.shape[1] == 1:
-        # The einsum's reduction loops depend on the batch size, so each
-        # trial contracts its own slice, straight into the output.
-        for t in range(splits):
-            rows = slice(t * per_trial, (t + 1) * per_trial)
-            windows = extract_windows(
-                x[rows], layer.kernel, layer.stride, layer.padding
-            )
-            # windows: (N, C, out_h, out_w, k, k); weight: (C, 1, k, k)
-            np.einsum(
-                "nchwij,cij->nchw",
-                windows,
-                weight[:, 0, :, :],
-                optimize=True,
-                out=out[rows],
-            )
+        windows = extract_windows(x, layer.kernel, layer.stride, layer.padding)
+        # windows: (N, C, out_h, out_w, k, k); weight: (C, 1, k, k)
+        np.einsum(
+            "nchwij,cij->nchw",
+            windows,
+            weight[:, 0, :, :],
+            optimize=True,
+            out=out,
+        )
         if layer.bias is not None:
             out += layer.bias[None, :, None, None]
         return out
@@ -223,7 +180,7 @@ def conv2d(
         and layer.groups == 1
     ):
         # The input already is its column matrix: one batched matmul,
-        # per sample either way, so trial stacking cannot change it.
+        # per sample.
         np.matmul(
             weight.reshape(out_c, -1)[None, :, :],
             x.reshape(n, x.shape[1], positions),
@@ -238,67 +195,47 @@ def conv2d(
     # rule only covers gemm.
     fused = positions % 8 == 0 and out_per_group > 1
     bias = None if layer.bias is None else layer.bias[:, None]
-    for t in range(splits):
-        rows = slice(t * per_trial, (t + 1) * per_trial)
-        x_t = x[rows]
-        for g in range(layer.groups):
-            # A strided channel-slice view: both the pad copy and the
-            # as_strided gather read through arbitrary strides.
-            x_g = x_t[:, g * in_per_group : (g + 1) * in_per_group]
-            channels = slice(g * out_per_group, (g + 1) * out_per_group)
-            w2d = weight[channels].reshape(out_per_group, -1)
-            if fused:
-                cols = fused_im2col(
-                    x_g, layer.kernel, layer.stride, layer.padding, scratch, (name,)
-                )
-                flat = scratch.get((name, "flat"), (out_per_group, cols.shape[1]))
-                np.matmul(w2d, cols, out=flat)
-                result = flat.reshape(out_per_group, per_trial, positions).transpose(
-                    1, 0, 2
-                )
-            else:
-                # One GEMM per sample over im2col's columns.  numpy picks
-                # dot, gemv or gemm, and the transpose flags, by operand
-                # shape and strides, so the operands keep im2col's exact
-                # layout (a strided view when C == 1 or P == 1).
-                cols = im2col(x_g, layer.kernel, layer.stride, layer.padding)
-                result = np.matmul(w2d[None, :, :], cols)
-            # The bias add is fused into the copy out of the GEMM result:
-            # one addition per element, the same operands as a
-            # matmul-then-add, so the bits match.
-            if bias is not None:
-                np.add(result, bias[channels], out=out3[rows, channels])
-            else:
-                np.copyto(out3[rows, channels], result)
+    for g in range(layer.groups):
+        # A strided channel-slice view: both the pad copy and the
+        # as_strided gather read through arbitrary strides.
+        x_g = x[:, g * in_per_group : (g + 1) * in_per_group]
+        channels = slice(g * out_per_group, (g + 1) * out_per_group)
+        w2d = weight[channels].reshape(out_per_group, -1)
+        if fused:
+            cols = fused_im2col(
+                x_g, layer.kernel, layer.stride, layer.padding, scratch, (name,)
+            )
+            flat = scratch.get((name, "flat"), (out_per_group, cols.shape[1]))
+            np.matmul(w2d, cols, out=flat)
+            result = flat.reshape(out_per_group, n, positions).transpose(1, 0, 2)
+        else:
+            # One GEMM per sample over im2col's columns.  numpy picks
+            # dot, gemv or gemm, and the transpose flags, by operand
+            # shape and strides, so the operands keep im2col's exact
+            # layout (a strided view when C == 1 or P == 1).
+            cols = im2col(x_g, layer.kernel, layer.stride, layer.padding)
+            result = np.matmul(w2d[None, :, :], cols)
+        # The bias add is fused into the copy out of the GEMM result:
+        # one addition per element, the same operands as a
+        # matmul-then-add, so the bits match.
+        if bias is not None:
+            np.add(result, bias[channels], out=out3[:, channels])
+        else:
+            np.copyto(out3[:, channels], result)
     return out
 
 
-def dense(
-    layer: "Dense",
-    x: np.ndarray,
-    scratch: Optional[KernelScratch] = None,
-    trial_groups: int = 1,
-) -> np.ndarray:
-    """Fully connected forward, one GEMM per trial group."""
-    scratch = scratch or KernelScratch()
+def dense(layer: "Dense", x: np.ndarray) -> np.ndarray:
+    """Fully connected forward: one GEMM."""
     x = flatten_spatial(x)
-    n = x.shape[0]
-    out = scratch.get((layer.name, "out"), (n, layer.out_features))
-    splits, per_trial = _trial_slices(n, trial_groups)
-    weight_t = layer.weight.T
-    for t in range(splits):
-        rows = slice(t * per_trial, (t + 1) * per_trial)
-        np.matmul(x[rows], weight_t, out=out[rows])
+    out = np.empty((x.shape[0], layer.out_features))
+    np.matmul(x, layer.weight.T, out=out)
     if layer.bias is not None:
         out += layer.bias
     return out
 
 
-def max_pool(
-    layer: "MaxPool2D",
-    x: np.ndarray,
-    scratch: Optional[KernelScratch] = None,
-) -> np.ndarray:
+def max_pool(layer: "MaxPool2D", x: np.ndarray) -> np.ndarray:
     """Max pooling; padding uses -inf so it never wins."""
     n, c, h, w = x.shape
     if (
@@ -308,10 +245,9 @@ def max_pool(
         and h % 2 == 0
         and w % 2 == 0
     ):
-        scratch = scratch or KernelScratch()
         v = x.reshape(n, c, h // 2, 2, w // 2, 2)
-        out = scratch.get((layer.name, "out"), (n, c, h // 2, w // 2))
-        tmp = scratch.get((layer.name, "tmp"), (n, c, h // 2, w // 2))
+        out = np.empty((n, c, h // 2, w // 2))
+        tmp = np.empty((n, c, h // 2, w // 2))
         np.maximum(v[:, :, :, 0, :, 0], v[:, :, :, 0, :, 1], out=out)
         np.maximum(v[:, :, :, 1, :, 0], v[:, :, :, 1, :, 1], out=tmp)
         np.maximum(out, tmp, out=out)
@@ -324,21 +260,15 @@ def max_pool(
     return windows.max(axis=(4, 5))
 
 
-def lrn(
-    layer: "LRN",
-    x: np.ndarray,
-    scratch: Optional[KernelScratch] = None,
-) -> np.ndarray:
+def lrn(layer: "LRN", x: np.ndarray) -> np.ndarray:
     """Local response normalization with in-place cumulative sums."""
-    scratch = scratch or KernelScratch()
-    name = layer.name
     half = layer.local_size // 2
     channels = x.shape[1]
-    squared = scratch.get((name, "sq"), x.shape)
+    squared = np.empty(x.shape)
     np.multiply(x, x, out=squared)
-    cumulative = scratch.get((name, "cum"), x.shape)
+    cumulative = np.empty(x.shape)
     np.cumsum(squared, axis=1, out=cumulative)
-    window = scratch.get((name, "win"), x.shape)
+    window = np.empty(x.shape)
     # upper[c] = cumulative[min(c + half, C-1)]: two slice copies beat
     # the equivalent fancy-indexed np.take.
     split = max(channels - half, 0)
@@ -355,13 +285,8 @@ def lrn(
     return window
 
 
-def relu(
-    layer: "ReLU",
-    x: np.ndarray,
-    scratch: Optional[KernelScratch] = None,
-) -> np.ndarray:
-    """``max(x, 0)`` into a scratch buffer."""
-    scratch = scratch or KernelScratch()
-    out = scratch.get((layer.name, "out"), x.shape)
+def relu(layer: "ReLU", x: np.ndarray) -> np.ndarray:
+    """``max(x, 0)`` into a C-contiguous buffer."""
+    out = np.empty(x.shape)
     np.maximum(x, 0.0, out=out)
     return out

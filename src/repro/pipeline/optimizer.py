@@ -132,8 +132,8 @@ class PrecisionOptimizer:
         self.parallel = parallel or ParallelSettings()
         #: Persistent content-addressed result cache (``repro.cache``):
         #: a directory path or open :class:`ResultCache`, or None for
-        #: off (the default).  Feeds every expensive surface — clean
-        #: activations, per-layer fits, sigma evaluations, stats,
+        #: off (the default).  Feeds every expensive surface — per-layer
+        #: fits, sigma evaluations, stats,
         #: baseline accuracy, and whole optimization outcomes — and is
         #: guaranteed bit-identical to recomputation.
         self.cache = open_cache(cache, metrics=self.telemetry.metrics)

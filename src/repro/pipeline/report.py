@@ -73,7 +73,7 @@ def describe_profile_timings(report) -> str:
     """One-paragraph stage/cost breakdown of a ProfileReport.
 
     Shows the engine's per-stage wall-clock split (reference forward,
-    replay planning, injection replay, reduction, line fitting) and the
+    injection replay, reduction, line fitting) and the
     per-layer replay-cost fractions that explain where the injection
     budget goes; see ``docs/performance.md``.
     """

@@ -20,12 +20,8 @@ optimized per-layer ``(I, F)`` formats end to end:
   non-dot-product operations in full precision.
 
 Bit-identity contract: the integer path is deterministic and exact, so
-results are bit-identical across backends (``reference``/``fast``),
-across ``forward`` vs :meth:`forward_from_many` batching,
-and across engine ``--jobs`` settings (which never touch this path).
-*Unquantized* Conv2D/Dense layers inside a batched call run the layer
-kernels with ``trial_groups`` — per-trial GEMM shapes — so batching
-stays bitwise faithful even for layers the allocation does not cover.
+results are bit-identical across backends (``reference``/``fast``) and
+across engine ``--jobs`` settings (which never touch this path).
 
 Conv layout: per group, the unpacked int64 codes are gathered once,
 straight into the ``(C*k*k, N*P)`` GEMM operand in the plan's operand
@@ -46,14 +42,14 @@ bits as the int64 path the ``reference`` backend runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ...config import MAX_BITWIDTH, MIN_BITWIDTH
 from ...errors import QuantizationError
 from ...nn.graph import Network
-from ...nn.kernels import KernelScratch, conv2d, dense
+from ...nn.kernels import KernelScratch
 from ...nn.kernels import fused_im2col as im2col
 from ...nn.layer import Layer
 from ...nn.layers.conv import Conv2D
@@ -285,33 +281,7 @@ class QuantizedNetwork:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Quantized forward pass; returns float64 logits."""
         self._images_seen += int(np.asarray(x).shape[0])
-        return self.network.forward(x, forward_fn=self._forward_fn(1))
-
-    def forward_from_many(
-        self, batches: Sequence[np.ndarray]
-    ) -> np.ndarray:
-        """R same-shape batches in one stacked pass (engine-style).
-
-        Stacks the batches along the batch axis and executes one
-        forward, running unquantized GEMM layers at per-batch shapes
-        so the result is bitwise identical to calling
-        :meth:`forward` once per batch.  Returns shape ``(R, B, ...)``.
-        """
-        if not batches:
-            raise QuantizationError("forward_from_many needs >= 1 batch")
-        first = np.asarray(batches[0])
-        for batch in batches[1:]:
-            if np.asarray(batch).shape != first.shape:
-                raise QuantizationError(
-                    "forward_from_many requires same-shape batches"
-                )
-        repeats = len(batches)
-        stacked = np.concatenate([np.asarray(b) for b in batches], axis=0)
-        self._images_seen += int(stacked.shape[0])
-        out = self.network.forward(
-            stacked, forward_fn=self._forward_fn(repeats)
-        )
-        return out.reshape((repeats, first.shape[0]) + out.shape[1:])
+        return self.network.forward(x, forward_fn=self._forward)
 
     def predict(
         self, images: np.ndarray, batch_size: int = 64
@@ -328,38 +298,12 @@ class QuantizedNetwork:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _forward_fn(
-        self, trial_groups: int
-    ) -> Callable[[Layer, Sequence[np.ndarray]], np.ndarray]:
-        def forward(
-            layer: Layer, arrays: Sequence[np.ndarray]
-        ) -> np.ndarray:
-            plan = self._plans.get(layer.name)
-            if plan is None:
-                return self._float_forward(layer, arrays, trial_groups)
-            return self._integer_forward(layer, plan, arrays[0])
-
-        return forward
-
-    def _float_forward(
-        self,
-        layer: Layer,
-        arrays: Sequence[np.ndarray],
-        trial_groups: int,
-    ) -> np.ndarray:
-        """Stock float path; stacked GEMM layers run per trial group.
-
-        BLAS picks kernels (and accumulation orders) by operand shape,
-        so an unquantized Conv2D/Dense inside a stacked batch runs the
-        layer kernel with ``trial_groups``: per-trial GEMMs reproduce
-        the unstacked bits, as they do for replay stacking.
-        """
-        if trial_groups > 1:
-            if isinstance(layer, Conv2D):
-                return conv2d(layer, arrays[0], trial_groups=trial_groups)
-            if isinstance(layer, Dense):
-                return dense(layer, arrays[0], trial_groups=trial_groups)
-        return layer.forward(arrays)
+    def _forward(self, layer: Layer, arrays: Sequence[np.ndarray]) -> np.ndarray:
+        """Integer path for planned layers, the stock float path otherwise."""
+        plan = self._plans.get(layer.name)
+        if plan is None:
+            return layer.forward(arrays)
+        return self._integer_forward(layer, plan, arrays[0])
 
     def _quantize_input(
         self, plan: QuantizedLayerPlan, x: np.ndarray
@@ -404,8 +348,7 @@ class QuantizedNetwork:
         The gather casts the int64 codes to the operand dtype while it
         lays them out as the GEMM's ``(C*k*k, N*P)`` operand.  Integer
         arithmetic is exact, so one GEMM per group covers the whole
-        (possibly trial-stacked) batch for every geometry: no phase
-        rule, no per-trial slicing.
+        batch for every geometry: no phase rule.
         """
         n = codes.shape[0]
         out_c, out_h, out_w = layer.output_shape

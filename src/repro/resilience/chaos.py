@@ -109,10 +109,8 @@ class ChaosNetwork:
     """A :class:`~repro.nn.graph.Network` wrapper that injects faults.
 
     Each forward-style call (``forward``, ``run_all``, ``forward_from``)
-    counts as one event against the schedules; a vectorized
-    ``forward_from_many`` counts one event *per stacked trial*, so the
-    injection engine and the legacy trial-at-a-time loop consume the
-    schedule identically and fault at the same trial:
+    counts as one event against the schedules, so an injection campaign
+    consumes one event per trial:
 
     * ``nan_schedule`` — corrupt a slice of the output with NaN,
     * ``transient_schedule`` — raise :class:`~repro.errors.TransientError`,
@@ -160,27 +158,10 @@ class ChaosNetwork:
         self._pre_call()
         return self._network.run_all(x, forward_fn=forward_fn)
 
-    def forward_from(self, cache, layer, tap, forward_fn=None):
+    def forward_from(self, cache, layer, tap):
         poison = self._pre_call()
-        out = self._network.forward_from(
-            cache, layer, tap, forward_fn=forward_fn
-        )
+        out = self._network.forward_from(cache, layer, tap)
         return self._corrupt(out) if poison else out
-
-    def forward_from_many(self, cache, layer, taps, forward_fn=None):
-        # One schedule event per trial (crash/transient faults raise
-        # here, before any replay work, just as the serial loop would
-        # fault before that trial's forward_from).
-        poison = [self._pre_call() for __ in taps]
-        out = self._network.forward_from_many(
-            cache, layer, taps, forward_fn=forward_fn
-        )
-        if any(poison):
-            out = np.array(out, dtype=np.float64, copy=True)
-            for index, hit in enumerate(poison):
-                if hit:
-                    out[index] = self._corrupt(out[index])
-        return out
 
     # -- transparent delegation ----------------------------------------
     def __getattr__(self, name: str):
@@ -249,7 +230,7 @@ def crash_after_layers(
 ) -> FaultSchedule:
     """Schedule a crash once ``completed`` layers finished replaying.
 
-    Helper for resume tests against the joint engine campaign of
+    Helper for resume tests against the campaign of
     :meth:`~repro.analysis.profiler.ErrorProfiler.profile` (serial
     engine, cache cold).  In network-forward events the campaign issues
     one scale pass, one ``run_all`` per batch for the reference stage,

@@ -1,8 +1,8 @@
 """Ablation run-matrix generation: baseline + one variant per component.
 
 The pipeline's load-bearing components (solver fallback chain, xi
-optimization, microtile kernels, persistent cache, accuracy-test
-scheme, execution backend) each get one or two matrix variants that
+optimization, persistent cache, accuracy-test scheme, execution
+backend) each get one or two matrix variants that
 toggle *only that component* relative to the baseline configuration.
 Running the matrix and differencing each variant against the baseline
 turns "this component matters" from an assertion into a measurement
@@ -31,9 +31,7 @@ class MatrixVariant:
     """One row of the ablation matrix: a named single-component toggle.
 
     ``config_overrides`` are :class:`~repro.experiments.common.
-    ExperimentConfig` field replacements; ``parallel_overrides`` patch
-    the derived :class:`~repro.config.ParallelSettings`;
-    ``optimizer_overrides`` are extra :class:`~repro.pipeline.
+    ExperimentConfig` field replacements; ``optimizer_overrides`` are extra :class:`~repro.pipeline.
     PrecisionOptimizer` keyword arguments.  ``allocator`` selects the
     final allocation call ("optimized" = the Eq. 8 xi solve, "equal" =
     the analytic equal-share scheme), and ``force_solver_failure``
@@ -46,7 +44,6 @@ class MatrixVariant:
     component: str
     description: str
     config_overrides: Mapping[str, object] = field(default_factory=dict)
-    parallel_overrides: Mapping[str, object] = field(default_factory=dict)
     optimizer_overrides: Mapping[str, object] = field(default_factory=dict)
     allocator: str = "optimized"
     force_solver_failure: bool = False
@@ -74,7 +71,6 @@ class MatrixVariant:
             "component": self.component,
             "description": self.description,
             "config_overrides": dict(self.config_overrides),
-            "parallel_overrides": dict(self.parallel_overrides),
             "optimizer_overrides": dict(self.optimizer_overrides),
             "allocator": self.allocator,
             "force_solver_failure": self.force_solver_failure,
@@ -130,20 +126,6 @@ def _xi_variants(config: "ExperimentConfig") -> List[MatrixVariant]:
     ]
 
 
-def _kernel_variants(config: "ExperimentConfig") -> List[MatrixVariant]:
-    return [
-        MatrixVariant(
-            name="kernels:reference",
-            component="kernels",
-            description=(
-                "replay runs layer.forward: fresh buffers on every call "
-                "and no per-trial GEMM slicing"
-            ),
-            parallel_overrides={"fast_kernels": False},
-        )
-    ]
-
-
 def _cache_variants(config: "ExperimentConfig") -> List[MatrixVariant]:
     return [
         MatrixVariant(
@@ -171,42 +153,32 @@ def _scheme_variants(config: "ExperimentConfig") -> List[MatrixVariant]:
 
 
 def _backend_variants(config: "ExperimentConfig") -> List[MatrixVariant]:
-    variants = []
     if config.jobs != 1:
-        variants.append(
+        return [
             MatrixVariant(
                 name="backend:serial",
                 component="backend",
                 description="injection engine forced serial (jobs=1)",
                 config_overrides={"jobs": 1},
             )
+        ]
+    return [
+        MatrixVariant(
+            name="backend:thread",
+            component="backend",
+            description=(
+                "injection engine on the thread pool (jobs=2); results "
+                "must stay bit-identical"
+            ),
+            config_overrides={"jobs": 2},
         )
-    jobs = config.jobs if config.jobs > 1 else 2
-    for backend in ("thread", "process"):
-        if config.jobs > 1 and backend == config.parallel_backend:
-            continue
-        variants.append(
-            MatrixVariant(
-                name=f"backend:{backend}",
-                component="backend",
-                description=(
-                    f"injection engine on the {backend} pool backend "
-                    f"(jobs={jobs}); results must stay bit-identical"
-                ),
-                config_overrides={
-                    "jobs": jobs,
-                    "parallel_backend": backend,
-                },
-            )
-        )
-    return variants
+    ]
 
 
 #: Component registry: toggle name -> variant builder.
 COMPONENT_BUILDERS: Dict[str, VariantBuilder] = {
     "fallback": _fallback_variants,
     "xi": _xi_variants,
-    "kernels": _kernel_variants,
     "cache": _cache_variants,
     "scheme": _scheme_variants,
     "backend": _backend_variants,

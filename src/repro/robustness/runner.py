@@ -168,11 +168,6 @@ def build_cell_context(
         substrate = ChaosNetwork(
             network, crash_schedule=FaultSchedule.once(0)
         )
-    parallel = config.parallel_settings()
-    if cell.variant.parallel_overrides:
-        parallel = replace(
-            parallel, **dict(cell.variant.parallel_overrides)
-        )
     optimizer_kwargs: Dict[str, Any] = dict(
         cell.variant.optimizer_overrides
     )
@@ -187,7 +182,7 @@ def build_cell_context(
         search_settings=config.search_settings(),
         scheme=config.scheme,
         strict=config.strict,
-        parallel=parallel,
+        parallel=config.parallel_settings(),
         telemetry=(
             telemetry
             if telemetry is not None

@@ -90,14 +90,14 @@ class TestPipelineCache:
         assert warm.meets_constraint
 
     def test_parallel_knobs_share_entries(self, lenet, dataset, tmp_path):
-        """jobs/backend are excluded from every key by design."""
+        """jobs is excluded from every key by design."""
         cache = tmp_path / "store"
         cold = make_optimizer(lenet, dataset, cache).optimize("input", 0.05)
         warm_opt = make_optimizer(
             lenet,
             dataset,
             cache,
-            parallel=ParallelSettings(jobs=2, trial_batch=1),
+            parallel=ParallelSettings(jobs=2),
         )
         warm = warm_opt.optimize("input", 0.05)
         assert fingerprint(warm) == fingerprint(cold)

@@ -89,13 +89,13 @@ class TestProfilerCache:
         assert make_profiler(lenet, nudged, cache).profile().cache_hits == 0
 
     def test_parallel_knobs_do_not_fragment_keys(self, lenet, images, cache):
-        """jobs/backend/trial_batch are excluded from keys by design."""
+        """jobs is excluded from keys by design."""
         serial = make_profiler(lenet, images, cache).profile()
         parallel = make_profiler(
             lenet,
             images,
             cache,
-            parallel=ParallelSettings(jobs=2, trial_batch=1),
+            parallel=ParallelSettings(jobs=2),
         ).profile()
         assert parallel.cache_hits == len(lenet.analyzed_layer_names)
         assert fits_of(parallel) == fits_of(serial)

@@ -1,21 +1,26 @@
 """End-to-end determinism of the injection engine.
 
-The acceptance bar for every execution strategy — serial, thread pool,
-process pool, any ``trial_batch`` — is bitwise identity with the legacy
-one-trial-at-a-time profiler loop (``use_engine=False``), which shares
-the engine's coordinate-keyed RNG streams and is kept as the
-differential oracle.
+The acceptance bar for every way of running a campaign — serial, a
+thread pool of any size, cache cold or warm, telemetry on or off — is
+byte identity of the per-layer ``(sq_sums, counts)`` with the
+batch-major loop in ``tests/engine/oracle.py``, which shares the
+engine's coordinate-keyed RNG streams.
 """
+
+import os
 
 import numpy as np
 import pytest
 
 import repro.engine.campaign as campaign_module
 from repro.analysis import ErrorProfiler
-from repro.config import ParallelSettings, ProfileSettings
+from repro.cache import ResultCache, array_digest
+from repro.config import ParallelSettings, ProfileSettings, TelemetrySettings
 from repro.engine import InjectionEngine
 from repro.errors import ProfilingError, RetryExhaustedError, TransientError
 from repro.nn import NetworkBuilder
+from repro.telemetry import Telemetry
+from tests.engine.oracle import profile_serial
 
 TEST_SEED = 1234
 
@@ -23,18 +28,18 @@ SETTINGS = ProfileSettings(
     num_images=12, num_delta_points=4, num_repeats=2, seed=TEST_SEED
 )
 # batch_size=4 gives three profiling batches, covering the multi-batch
-# reduction order and the stacked-batch GEMM shapes in one go.
+# reduction order in one go.
 BATCH_SIZE = 4
 
 
-def profile(lenet, images, *, use_engine=True, parallel=None, grids=None):
+def profile(lenet, images, *, parallel=None, grids=None, telemetry=None):
     profiler = ErrorProfiler(
         lenet,
         images,
         SETTINGS,
         batch_size=BATCH_SIZE,
         parallel=parallel,
-        use_engine=use_engine,
+        telemetry=telemetry,
     )
     if grids is not None:
         return profiler.profile_with_grids(grids)
@@ -47,8 +52,8 @@ def assert_reports_bitwise_equal(a, b):
         pa, pb = a[name], b[name]
         assert pa.lam == pb.lam
         assert pa.theta == pb.theta
-        assert np.array_equal(pa.sigmas, pb.sigmas)
-        assert np.array_equal(pa.deltas, pb.deltas)
+        assert pa.sigmas.tobytes() == pb.sigmas.tobytes()
+        assert pa.deltas.tobytes() == pb.deltas.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -58,8 +63,23 @@ def profiling_images(datasets):
 
 
 @pytest.fixture(scope="module")
-def legacy_report(lenet, profiling_images):
-    return profile(lenet, profiling_images, use_engine=False)
+def grids(lenet):
+    return {
+        name: np.geomspace(1e-3, 0.2, SETTINGS.num_delta_points)
+        for name in lenet.analyzed_layer_names
+    }
+
+
+@pytest.fixture(scope="module")
+def oracle_sums(lenet, profiling_images, grids):
+    return profile_serial(
+        lenet,
+        profiling_images,
+        grids,
+        num_repeats=SETTINGS.num_repeats,
+        seed=SETTINGS.seed,
+        batch_size=BATCH_SIZE,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -67,75 +87,101 @@ def engine_report(lenet, profiling_images):
     return profile(lenet, profiling_images)
 
 
-class TestEngineMatchesLegacy:
-    def test_serial_engine_bitwise_equal(self, legacy_report, engine_report):
-        assert_reports_bitwise_equal(engine_report, legacy_report)
+def campaign_sums(lenet, images, grids, *, jobs, telemetry, cache_dir):
+    """Per-layer ``(sq_sums, counts)`` of one campaign.
 
-    @pytest.mark.parametrize("trial_batch", [1, 3, 8])
-    def test_trial_batch_invariance(
-        self, lenet, profiling_images, engine_report, trial_batch
+    Without a cache they come straight from the engine.  With one they
+    are what the profiler published to the store on a cold run, and a
+    warm re-run must restore every layer from there.
+    """
+    parallel = ParallelSettings(jobs=jobs)
+    session = Telemetry(TelemetrySettings(enabled=telemetry))
+    if cache_dir is None:
+        result = InjectionEngine(lenet, parallel, telemetry=session).run(
+            images,
+            grids,
+            num_repeats=SETTINGS.num_repeats,
+            seed=SETTINGS.seed,
+            batch_size=BATCH_SIZE,
+        )
+        return result.sq_sums, result.counts
+    profilers = [
+        ErrorProfiler(
+            lenet,
+            images,
+            SETTINGS,
+            batch_size=BATCH_SIZE,
+            parallel=parallel,
+            telemetry=session,
+            cache=ResultCache(cache_dir),
+        )
+        for __ in range(2)
+    ]
+    cold = profilers[0].profile_with_grids(grids)
+    warm = profilers[1].profile_with_grids(grids)
+    assert (cold.cache_hits, warm.cache_hits) == (0, len(grids))
+    assert_reports_bitwise_equal(cold, warm)
+    positions = {layer.name: i for i, layer in enumerate(lenet.layers)}
+    digest = array_digest(images[: SETTINGS.num_images])
+    sq_sums, counts = {}, {}
+    for name, grid in grids.items():
+        key = profilers[0]._layer_key(name, positions[name], grid, digest)
+        entry = profilers[0].cache.get_arrays("profile", key)
+        sq_sums[name], counts[name] = entry["sq_sums"], entry["counts"]
+    return sq_sums, counts
+
+
+class TestLoopMatchesOracle:
+    @pytest.mark.parametrize("telemetry", [False, True], ids=["telemetry-off", "telemetry-on"])
+    @pytest.mark.parametrize("cache", [False, True], ids=["cache-off", "cache-on"])
+    @pytest.mark.parametrize("jobs", [1, 2, 3], ids=["serial", "jobs2", "jobs3"])
+    def test_bitwise_identical(
+        self, lenet, profiling_images, grids, oracle_sums, tmp_path,
+        jobs, cache, telemetry,
     ):
+        sq_sums, counts = campaign_sums(
+            lenet,
+            profiling_images,
+            grids,
+            jobs=jobs,
+            telemetry=telemetry,
+            cache_dir=tmp_path / "store" if cache else None,
+        )
+        want_sums, want_counts = oracle_sums
+        assert list(sq_sums) == list(grids)
+        for name in grids:
+            assert sq_sums[name].tobytes() == want_sums[name].tobytes()
+            assert counts[name].tobytes() == want_counts[name].tobytes()
+
+
+class TestReportedJobs:
+    def test_jobs_capped_at_available_cores(self, lenet, profiling_images):
+        available = len(os.sched_getaffinity(0))
         report = profile(
             lenet,
             profiling_images,
-            parallel=ParallelSettings(trial_batch=trial_batch),
+            parallel=ParallelSettings(jobs=available + 2),
         )
-        assert_reports_bitwise_equal(report, engine_report)
-
-    def test_thread_pool_bitwise_equal(
-        self, lenet, profiling_images, legacy_report
-    ):
-        report = profile(
-            lenet,
-            profiling_images,
-            parallel=ParallelSettings(jobs=2, backend="thread"),
-        )
-        assert report.jobs == 2
-        assert_reports_bitwise_equal(report, legacy_report)
-
-    def test_process_pool_bitwise_equal(
-        self, lenet, profiling_images, legacy_report
-    ):
-        report = profile(
-            lenet,
-            profiling_images,
-            parallel=ParallelSettings(jobs=2, backend="process"),
-        )
-        assert_reports_bitwise_equal(report, legacy_report)
-
-    def test_fast_kernels_off_bitwise_equal(
-        self, lenet, profiling_images, legacy_report
-    ):
-        report = profile(
-            lenet,
-            profiling_images,
-            parallel=ParallelSettings(fast_kernels=False),
-        )
-        assert_reports_bitwise_equal(report, legacy_report)
+        assert report.jobs == available
 
 
 class TestWorkerPoolEvents:
     def test_pooled_run_streams_layer_lifecycle(
-        self, lenet, profiling_images, legacy_report, tmp_path
+        self, lenet, profiling_images, engine_report, tmp_path
     ):
-        from repro.config import TelemetrySettings
-        from repro.telemetry import Telemetry
         from repro.telemetry.events import read_bus_events, validate_bus_path
 
         telemetry = Telemetry(
             TelemetrySettings(enabled=True, events_dir=str(tmp_path))
         )
-        profiler = ErrorProfiler(
+        report = profile(
             lenet,
             profiling_images,
-            SETTINGS,
-            batch_size=BATCH_SIZE,
-            parallel=ParallelSettings(jobs=2, backend="thread"),
+            parallel=ParallelSettings(jobs=2),
             telemetry=telemetry,
         )
-        report = profiler.profile()
         telemetry.close()
-        assert_reports_bitwise_equal(report, legacy_report)
+        assert_reports_bitwise_equal(report, engine_report)
 
         path = tmp_path / "events.jsonl"
         assert validate_bus_path(path) == []
@@ -162,23 +208,13 @@ class TestOrderingInvariance:
     layer dict is the same campaign.
     """
 
-    @pytest.fixture(scope="class")
-    def grids(self, lenet):
-        return {
-            name: np.geomspace(1e-3, 0.2, SETTINGS.num_delta_points)
-            for name in lenet.analyzed_layer_names
-        }
-
-    @pytest.mark.parametrize("use_engine", [True, False])
-    def test_reversed_layer_order(
-        self, lenet, profiling_images, grids, use_engine
-    ):
-        forward = profile(
-            lenet, profiling_images, use_engine=use_engine, grids=grids
-        )
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_reversed_layer_order(self, lenet, profiling_images, grids, pooled):
+        parallel = ParallelSettings(jobs=2 if pooled else 1)
+        forward = profile(lenet, profiling_images, parallel=parallel, grids=grids)
         reversed_grids = dict(reversed(list(grids.items())))
         backward = profile(
-            lenet, profiling_images, use_engine=use_engine, grids=reversed_grids
+            lenet, profiling_images, parallel=parallel, grids=reversed_grids
         )
         assert_reports_bitwise_equal(forward, backward)
 
@@ -208,9 +244,7 @@ class TestFailurePaths:
             return original(arrays)
 
         net["gap"].forward = flaky
-        engine = InjectionEngine(
-            net, ParallelSettings(jobs=2, backend="thread")
-        )
+        engine = InjectionEngine(net, ParallelSettings(jobs=2))
         rng = np.random.default_rng(TEST_SEED)
         images = rng.standard_normal((4, 2, 6, 6))
         grids = {"c1": np.array([0.01, 0.1])}
@@ -226,8 +260,7 @@ class TestFailurePaths:
         )
         net = tiny_network()
         engine = InjectionEngine(
-            net,
-            ParallelSettings(jobs=2, backend="thread", transient_retries=2),
+            net, ParallelSettings(jobs=2, transient_retries=2)
         )
         rng = np.random.default_rng(TEST_SEED)
         images = rng.standard_normal((4, 2, 6, 6))

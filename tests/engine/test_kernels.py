@@ -1,10 +1,9 @@
 """Byte-identity tests for the layer kernels against the per-sample oracle.
 
-``layer.forward`` and the engine's replay forward
-(``make_forward_fn(KernelScratch(), trial_groups=R)``) both run
-:mod:`repro.nn.kernels`; both must reproduce the stock per-sample
-implementations in ``tests/nn/reference_layers.py`` byte for byte.
-Bytes, not ``np.array_equal``: the latter treats -0.0 and +0.0 as equal.
+``layer.forward`` runs :mod:`repro.nn.kernels`; it must reproduce the
+stock per-sample implementations in ``tests/nn/reference_layers.py``
+byte for byte.  Bytes, not ``np.array_equal``: the latter treats -0.0
+and +0.0 as equal.
 """
 
 import numpy as np
@@ -12,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import KernelScratch, make_forward_fn
 from repro.nn import LRN, Conv2D, Dense, MaxPool2D, ReLU
 from tests.nn.reference_layers import reference_forward
 
@@ -30,27 +28,12 @@ def assert_same_bytes(want, got):
     assert want.tobytes() == got.tobytes()
 
 
-def assert_kernel_bitwise(layer, x, trial_groups=1, reps=3):
-    """forward and the replay forward == the oracle, across scratch reuse.
-
-    The replay forward of ``trial_groups`` stacked trials must equal the
-    oracle run on each trial alone: the depthwise oracle contracts its
-    whole batch, so only the per-trial call is the stacking contract.
-    """
+def assert_kernel_bitwise(layer, x, reps=3):
+    """``layer.forward`` == the oracle, on every repeated call."""
     bind(layer, x)
-    assert_same_bytes(reference_forward(layer, [x]), layer.forward([x]))
-    # A group count that does not divide the batch means one group.
-    splits = trial_groups if x.shape[0] % trial_groups == 0 else 1
-    per = x.shape[0] // splits
-    want = np.concatenate(
-        [
-            reference_forward(layer, [x[t * per : (t + 1) * per]])
-            for t in range(splits)
-        ]
-    )
-    fwd = make_forward_fn(KernelScratch(), trial_groups=trial_groups)
-    for _ in range(reps):  # repeated calls exercise buffer reuse
-        assert_same_bytes(want, fwd(layer, [x]))
+    want = reference_forward(layer, [x])
+    for _ in range(reps):
+        assert_same_bytes(want, layer.forward([x]))
 
 
 class TestConvKernel:
@@ -97,15 +80,14 @@ class TestConvKernel:
         h=st.integers(1, 11),
         w=st.integers(1, 11),
         with_bias=st.booleans(),
-        trial_groups=st.integers(1, 3),
         seed=st.integers(0, 2**16),
     )
     def test_random_shapes(
         self, n, in_per_group, out_per_group, groups, kernel, stride, padding,
-        h, w, with_bias, trial_groups, seed,
+        h, w, with_bias, seed,
     ):
         # Covers P % 8 != 0 (per-sample path), grouped, depthwise and
-        # 1x1 convolutions, and stacked batches of trial_groups trials.
+        # 1x1 convolutions.
         if groups == "depthwise":
             groups, in_per_group, out_per_group = in_per_group + 1, 1, 1
         elif groups > 1 and in_per_group == 1:
@@ -119,11 +101,11 @@ class TestConvKernel:
             (out_per_group * groups, in_per_group, kernel, kernel)
         )
         bias = local.standard_normal(weight.shape[0]) if with_bias else None
-        x = local.standard_normal((n * trial_groups, in_per_group * groups, h, w))
+        x = local.standard_normal((n, in_per_group * groups, h, w))
         layer = Conv2D(
             "c", ["i"], weight, bias, stride=stride, padding=padding, groups=groups
         )
-        assert_kernel_bitwise(layer, x, trial_groups=trial_groups, reps=2)
+        assert_kernel_bitwise(layer, x, reps=2)
 
 
 class TestDenseKernel:
@@ -198,84 +180,3 @@ class TestPoolAndActivation:
 
     def test_relu(self):
         assert_kernel_bitwise(ReLU("r", ["i"]), rng.standard_normal((4, 8, 12, 12)))
-
-
-class TestTrialGroupSlicing:
-    """Stacked trial batches must reproduce per-trial bits exactly.
-
-    ``make_forward_fn(scratch, trial_groups=T)`` slices every GEMM into
-    per-trial-group calls so each BLAS invocation runs at unstacked
-    shapes — the result of a stacked replay is the concatenation of the
-    individual trials' results, bit for bit.
-    """
-
-    def _stacked_equals_per_trial(self, layer, per_trial_inputs):
-        bind(layer, per_trial_inputs[0])
-        want = np.concatenate(
-            [reference_forward(layer, [x]) for x in per_trial_inputs]
-        )
-        stacked = np.concatenate(per_trial_inputs)
-        fwd = make_forward_fn(
-            KernelScratch(), trial_groups=len(per_trial_inputs)
-        )
-        assert_same_bytes(want, fwd(layer, [stacked]))
-
-    def test_conv_stacked(self):
-        layer = Conv2D(
-            "c",
-            ["i"],
-            rng.standard_normal((8, 4, 3, 3)),
-            rng.standard_normal(8),
-            stride=1,
-            padding=1,
-        )
-        trials = [rng.standard_normal((3, 4, 12, 12)) for _ in range(4)]
-        self._stacked_equals_per_trial(layer, trials)
-
-    def test_grouped_conv_stacked(self):
-        layer = Conv2D(
-            "cg",
-            ["i"],
-            rng.standard_normal((8, 2, 3, 3)),
-            rng.standard_normal(8),
-            stride=1,
-            padding=1,
-            groups=2,
-        )
-        trials = [rng.standard_normal((2, 4, 12, 12)) for _ in range(3)]
-        self._stacked_equals_per_trial(layer, trials)
-
-    def test_depthwise_stacked_batch_one(self):
-        # Eight stacked batch-1 trials, as injection replay stacks them:
-        # the depthwise einsum picks its reduction loops by batch size.
-        layer = Conv2D(
-            "dw",
-            ["i"],
-            rng.standard_normal((32, 1, 3, 3)),
-            rng.standard_normal(32),
-            stride=1,
-            padding=1,
-            groups=32,
-        )
-        trials = [rng.standard_normal((1, 32, 14, 14)) for _ in range(8)]
-        self._stacked_equals_per_trial(layer, trials)
-
-    def test_dense_stacked(self):
-        layer = Dense(
-            "fc", ["i"], rng.standard_normal((6, 16)), rng.standard_normal(6)
-        )
-        trials = [rng.standard_normal((4, 16)) for _ in range(5)]
-        self._stacked_equals_per_trial(layer, trials)
-
-    def test_indivisible_batch_keeps_single_group(self):
-        # trial_groups that does not divide the batch degrades to one
-        # group — still bitwise equal to the oracle on the whole batch.
-        layer = Conv2D(
-            "c",
-            ["i"],
-            rng.standard_normal((8, 4, 3, 3)),
-            rng.standard_normal(8),
-            stride=1,
-            padding=1,
-        )
-        assert_kernel_bitwise(layer, rng.standard_normal((5, 4, 12, 12)), trial_groups=3)

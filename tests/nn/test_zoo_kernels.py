@@ -6,9 +6,9 @@
   sigma search's accuracy passes.
 * Every layer but ``Dense`` and the depthwise convolutions is batch
   invariant: a batch of B gives the same bytes as B batch-1 calls.
-* Every ``Conv2D`` and ``Dense`` layer is trial-batch invariant: with
-  ``trial_groups=R`` a stack of R batch-1 trials gives the bytes of R
-  unstacked calls, as injection replay needs.
+* Injection replay (``Network.forward_from``) from an analyzed layer
+  gives the bytes of a full forward with the same tap, through the
+  residual adds and concats of every zoo graph.
 """
 
 import numpy as np
@@ -16,7 +16,6 @@ import pytest
 
 from repro.models import MODEL_NAMES, build_model
 from repro.nn import Conv2D, Dense
-from repro.nn.kernels import conv2d, dense
 from tests.nn.reference_layers import reference_forward
 
 MODELS = ["lenet", *MODEL_NAMES]
@@ -80,20 +79,20 @@ def test_layers_are_batch_invariant(net):
     assert not variant
 
 
-def test_stacked_trials_match_unstacked_calls(net):
-    trials = 8
-    x = np.random.default_rng(5).standard_normal((trials,) + net.input_shape)
-    values = net.run_all(x)
-    variant = []
-    for layer in net.layers:
-        if not isinstance(layer, (Conv2D, Dense)):
-            continue
-        kernel = conv2d if isinstance(layer, Conv2D) else dense
-        stacked = values[layer.inputs[0]]
-        whole = kernel(layer, stacked, trial_groups=trials)
-        singles = np.concatenate(
-            [kernel(layer, stacked[i : i + 1]) for i in range(trials)]
+def test_replay_matches_tapped_forward(net):
+    x = np.random.default_rng(5).standard_normal((2,) + net.input_shape)
+    cache = net.run_all(x)
+    analyzed = net.analyzed_layer_names
+    moved = []
+    for start in {analyzed[0], analyzed[len(analyzed) // 2], analyzed[-1]}:
+        noise = np.random.default_rng(7).standard_normal(
+            cache[net[start].inputs[0]].shape
         )
-        if whole.tobytes() != singles.tobytes():
-            variant.append(layer.name)
-    assert not variant
+
+        def tap(value, noise=noise):
+            return value + noise
+
+        want = net.forward(x, taps={start: tap})
+        if net.forward_from(cache, start, tap).tobytes() != want.tobytes():
+            moved.append(start)
+    assert not moved

@@ -116,30 +116,6 @@ class TestBitIdentity:
             ).forward(images)
             np.testing.assert_array_equal(out, reference)
 
-    def test_forward_from_many_vs_sequential(self, tiny):
-        net, images, allocation, _ = tiny
-        q = QuantizedNetwork(net, allocation)
-        batches = [images[:4], images[4:8], images[8:]]
-        stacked = q.forward_from_many(batches)
-        sequential = np.stack([q.forward(b) for b in batches])
-        np.testing.assert_array_equal(stacked, sequential)
-
-    def test_forward_from_many_slices_unquantized_gemm_layers(self):
-        """Layers outside the allocation run float GEMMs whose BLAS
-        kernels depend on batch shape; the batched path must slice them
-        back to per-batch shapes to stay bitwise faithful."""
-        net = tiny_grouped_network(seed=3)
-        images = np.random.default_rng(5).normal(size=(8, 4, 8, 8))
-        stats = measure_ranges(net, images)
-        # Quantize only the first conv; dw/grouped/fc stay float.
-        full = ordered_stats(net, stats)
-        allocation = BitwidthAllocation.uniform(full[:1], 10)
-        q = QuantizedNetwork(net, allocation)
-        batches = [images[:4], images[4:]]
-        stacked = q.forward_from_many(batches)
-        sequential = np.stack([q.forward(b) for b in batches])
-        np.testing.assert_array_equal(stacked, sequential)
-
     def test_lenet_backends_identical(self):
         net = build_model("lenet")
         images = np.random.default_rng(0).normal(scale=50.0, size=(8,) + net.input_shape)
@@ -292,10 +268,3 @@ class TestValidation:
         with pytest.raises(QuantizationError):
             build_layer_plan(relu, 4, 4, RuntimeSpec())
 
-    def test_forward_from_many_shape_checks(self, tiny):
-        net, images, allocation, _ = tiny
-        q = QuantizedNetwork(net, allocation)
-        with pytest.raises(QuantizationError):
-            q.forward_from_many([])
-        with pytest.raises(QuantizationError):
-            q.forward_from_many([images[:4], images[:2]])

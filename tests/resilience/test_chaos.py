@@ -165,6 +165,20 @@ def _published_profiles(store):
 class TestCrashAndResume:
     """Acceptance: kill mid-run, re-run on the same cache, redo nothing."""
 
+    def test_campaign_consumes_one_event_per_trial(self, lenet, datasets):
+        # The event layout crash_after_layers aims at: one scale pass,
+        # one reference run_all per batch, then one forward_from per
+        # trial, layer after layer.
+        __, test = datasets
+        counter = FaultSchedule()
+        ErrorProfiler(
+            ChaosNetwork(lenet, crash_schedule=counter),
+            test.images,
+            settings=SETTINGS,
+        ).profile()
+        trials = SETTINGS.num_delta_points * SETTINGS.num_repeats
+        assert counter.calls == 2 + len(lenet.analyzed_layer_names) * trials
+
     def test_crash_then_resume_skips_completed_layers(
         self, lenet, datasets, tmp_path, monkeypatch
     ):
@@ -207,8 +221,8 @@ class TestCrashAndResume:
         assert report.cache_hits == completed
         # only the unfinished layers were replayed...
         assert replayed == layers[completed:]
-        # ...and only their entries were written (the reference
-        # activations and the finished layers came back from the cache)
+        # ...and only their entries were written (the finished layers
+        # came back from the cache)
         assert fresh.cache.counters.writes == len(layers) - completed
         after = _published_profiles(store)
         assert published < after and len(after) == len(layers)

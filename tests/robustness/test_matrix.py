@@ -53,15 +53,15 @@ class TestBuildMatrix:
             for v in build_matrix(serial_config, components=("backend",))
             if not v.is_baseline
         }
-        assert names == {"backend:thread", "backend:process"}
+        assert names == {"backend:thread"}
 
-        pooled = replace(CONFIG, jobs=4, parallel_backend="thread")
+        pooled = replace(CONFIG, jobs=4)
         names = {
             v.name
             for v in build_matrix(pooled, components=("backend",))
             if not v.is_baseline
         }
-        assert names == {"backend:serial", "backend:process"}
+        assert names == {"backend:serial"}
 
     def test_fallback_component_has_off_and_forced_variants(self):
         variants = build_matrix(CONFIG, components=("fallback",))
@@ -100,10 +100,8 @@ class TestMatrixVariant:
             component="backend",
             description="d",
             config_overrides={"jobs": 2},
-            parallel_overrides={"fast_kernels": False},
             allocator="equal",
         )
         payload = variant.as_dict()
         assert payload["config_overrides"] == {"jobs": 2}
-        assert payload["parallel_overrides"] == {"fast_kernels": False}
         assert payload["allocator"] == "equal"

@@ -66,9 +66,9 @@ class TestImportance:
             "component/baseline/lenet", objective="mac"
         )
         variant = _row(
-            "component/kernels:reference/lenet",
-            group="kernels",
-            variant="kernels:reference",
+            "component/scheme:scheme2/lenet",
+            group="scheme",
+            variant="scheme:scheme2",
             objective="mac",
             effective_mac_bits=7.0,
         )
@@ -103,9 +103,9 @@ class TestImportance:
         # Toggling the component OFF saved bits and kept the
         # constraint: the baseline is better off without it.
         better_without = _row(
-            "component/kernels:reference/lenet",
-            group="kernels",
-            variant="kernels:reference",
+            "component/scheme:scheme2/lenet",
+            group="scheme",
+            variant="scheme:scheme2",
             effective_input_bits=4.5,
             meets_constraint=True,
         )
