@@ -19,8 +19,9 @@ bench:           ## default benchmark subset (one network per family)
 bench-full:      ## all eight paper networks (long)
 	REPRO_BENCH_FULL=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only -q -s
 
-bench-profiler:  ## profiler scaling: serial vs --jobs threads (writes BENCH_profiler.json)
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_profiler_scaling.py
+bench-profiler:  ## profiler scaling: serial vs --jobs threads, BLAS pinned to 1 thread (writes BENCH_profiler.json)
+	OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 \
+		PYTHONPATH=src $(PYTHON) benchmarks/bench_profiler_scaling.py
 
 bench-cache:     ## persistent cache: cold vs warm vs sweep (writes BENCH_cache.json)
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_cache_sweep.py
@@ -44,12 +45,12 @@ quant-smoke:     ## tiny lenet run on the integer runtime; fails if measured dro
 ablate-smoke:    ## tiny lenet campaign with one injected chaos fault, then a resume on its cache (CI gate)
 	rm -rf ablate-smoke-cache
 	PYTHONPATH=src $(PYTHON) -m repro ablate --model lenet --smoke \
-		--components fallback,xi,cache --cache-dir ablate-smoke-cache \
+		--components xi,cache,scheme --cache-dir ablate-smoke-cache \
 		--chaos-cell component/cache:off/lenet \
 		--output ablate-smoke.json
 	@PYTHONPATH=src $(PYTHON) -c "import json; r = json.load(open('ablate-smoke.json')); \
 	assert r['schema_version'] == 1, r.get('schema_version'); \
-	rows = r['rows']; assert len(rows) == 5, len(rows); \
+	rows = r['rows']; assert len(rows) == 4, len(rows); \
 	failed = [x for x in rows if x['status'] == 'failed']; \
 	assert [x['cell_id'] for x in failed] == ['component/cache:off/lenet'], failed; \
 	assert failed[0]['failure']['error_class'] == 'SimulatedCrash', failed[0]; \
@@ -57,15 +58,15 @@ ablate-smoke:    ## tiny lenet campaign with one injected chaos fault, then a re
 	assert r['manifest'].get('config_hash'), 'manifest missing'; \
 	print('ablate smoke OK: %d cells, 1 injected failure isolated' % len(rows))"
 	PYTHONPATH=src $(PYTHON) -m repro ablate --model lenet --smoke \
-		--components fallback,xi,cache --cache-dir ablate-smoke-cache \
+		--components xi,cache,scheme --cache-dir ablate-smoke-cache \
 		--output ablate-smoke-resume.json
 	@PYTHONPATH=src $(PYTHON) -c "import json; \
 	first = {x['cell_id']: x for x in json.load(open('ablate-smoke.json'))['rows']}; \
 	r = json.load(open('ablate-smoke-resume.json')); rows = r['rows']; \
 	assert len(rows) == len(first) and all(x['status'] == 'ok' for x in rows), rows; \
 	resumed = [x['cell_id'] for x in rows if x['resumed']]; \
-	assert resumed == ['component/baseline/lenet', 'component/fallback:off/lenet'], resumed; \
-	assert r['executed_cell_ids'] == ['component/fallback:forced/lenet', 'component/xi:equal/lenet', 'component/cache:off/lenet'], r['executed_cell_ids']; \
+	assert resumed == ['component/baseline/lenet', 'component/scheme:scheme2/lenet'], resumed; \
+	assert r['executed_cell_ids'] == ['component/xi:equal/lenet', 'component/cache:off/lenet'], r['executed_cell_ids']; \
 	same = lambda x: {k: v for k, v in x.items() if k not in ('elapsed_seconds', 'cache_counters', 'resumed')}; \
 	moved = [x['cell_id'] for x in rows if first[x['cell_id']]['status'] == 'ok' and same(x) != same(first[x['cell_id']])]; \
 	assert not moved, moved; \

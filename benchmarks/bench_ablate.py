@@ -31,7 +31,6 @@ import shutil
 import sys
 import tempfile
 import time
-import warnings
 from dataclasses import replace
 from pathlib import Path
 from typing import Any, Dict, List
@@ -39,7 +38,6 @@ from typing import Any, Dict, List
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.errors import DegradedResultWarning  # noqa: E402
 from repro.experiments import (  # noqa: E402
     AblationSpec,
     ExperimentConfig,
@@ -64,11 +62,7 @@ def campaign_rows(report) -> List[Dict[str, Any]]:
 
 def timed_campaign(spec: AblationSpec, config: ExperimentConfig):
     start = time.perf_counter()
-    with warnings.catch_warnings():
-        # The fallback:forced cell legitimately degrades to equal-xi;
-        # the warning is the cell's expected behaviour, not noise.
-        warnings.simplefilter("ignore", DegradedResultWarning)
-        report = run_ablation_campaign(spec, config)
+    report = run_ablation_campaign(spec, config)
     return report, time.perf_counter() - start
 
 
@@ -187,7 +181,7 @@ def main(argv=None) -> int:
     parser.add_argument("--objective", default="input")
     parser.add_argument(
         "--components",
-        default="fallback,xi,cache,scheme",
+        default="xi,cache,scheme",
         help="comma-separated matrix components ('all' for every one)",
     )
     parser.add_argument(
@@ -207,7 +201,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="tiny CI configuration: 4-cell matrix, no scenarios",
+        help="tiny CI configuration: 2-cell matrix, no scenarios",
     )
     parser.add_argument(
         "--output",
@@ -216,7 +210,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     if args.smoke:
-        args.components = "fallback,xi"
+        args.components = "xi"
         args.scenarios = ""
         args.train_count = 96
         args.test_count = 48

@@ -20,6 +20,10 @@ share cores, and the minimum is the standard noise-robust estimator.
 Defaults are the paper's profiling budget (50 images, 20 delta points,
 2 repeats) on alexnet, nin, resnet50 and mobilenet.
 
+BLAS thread counts change the last digits of the fits, so the payload
+records ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+``MKL_NUM_THREADS``; ``make bench-profiler`` pins all three to 1.
+
 Run ``python benchmarks/bench_profiler_scaling.py --help`` for knobs;
 ``make bench-profiler`` runs the default configuration.
 """
@@ -184,6 +188,15 @@ def main(argv=None) -> int:
         "benchmark": "profiler_scaling",
         "smoke": args.smoke,
         "cpu_count": os.cpu_count(),
+        # BLAS thread counts change the last digits of the fits.
+        "blas_threads": {
+            name: os.environ.get(name)
+            for name in (
+                "OPENBLAS_NUM_THREADS",
+                "OMP_NUM_THREADS",
+                "MKL_NUM_THREADS",
+            )
+        },
         "manifest": manifest.as_dict(),
         "results": results,
     }

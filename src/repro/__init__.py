@@ -15,8 +15,8 @@ method end to end on a pure-numpy substrate:
 * :mod:`repro.optimize` — multi-objective xi optimization (Eq. 8).
 * :mod:`repro.baselines` — uniform / equal-scheme / search baselines.
 * :mod:`repro.weights` — weight bitwidth search (Sec. V-E).
-* :mod:`repro.resilience` — guardrails, solver fallback chain,
-  resumable run state, and the chaos-testing harness.
+* :mod:`repro.resilience` — guardrails, transient retries, and the
+  chaos-testing harness.
 * :mod:`repro.check` — static analysis: graph/allocation verifier
   (shape, dtype, range, overflow, xi audits) and numerical linter.
 * :mod:`repro.telemetry` — zero-dependency observability: tracing

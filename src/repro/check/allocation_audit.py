@@ -24,15 +24,14 @@ Each check here protects one precondition of the paper's pipeline:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Mapping, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - avoids importing scipy at load
-    from ..optimize.allocator import AllocationResult
+from typing import Dict, Mapping, Optional
 
 from ..analysis.profiler import LayerErrorProfile
 from ..config import MAX_BITWIDTH, MIN_BITWIDTH
 from ..nn.graph import Network
 from ..nn.statistics import LayerStats
+from ..optimize.allocator import AllocationResult
+from ..optimize.eq8 import XI_FLOOR
 from ..quant.allocation import BitwidthAllocation
 from ..quant.fixed_point import integer_bits_for_range
 from ..resilience.guards import R_SQUARED_FLOOR
@@ -44,13 +43,10 @@ from .intervals import Interval, propagate_ranges
 #: Eq. 8 objective cannot trade error between layers.
 LAMBDA_FLOOR = 1e-9
 
-#: Tolerance on |sum_K xi_K - 1| (SLSQP enforces the constraint to
-#: roughly sqrt(eps); anything beyond this is a real violation).
+#: Tolerance on |sum_K xi_K - 1| (the Eq. 8 solve meets the constraint
+#: to rounding; the slack admits shares from other sources, such as a
+#: hand-written split; anything beyond this is a real violation).
 XI_SUM_TOLERANCE = 1e-6
-
-#: Must match repro.optimize.sqp.XI_FLOOR (imported lazily below to
-#: keep this module importable without scipy).
-_DEFAULT_XI_FLOOR = 1e-6
 
 
 def audit_allocation(
@@ -164,19 +160,13 @@ def audit_allocation(
 
 def audit_xi(
     xi: Mapping[str, float],
-    xi_floor: Optional[float] = None,
+    xi_floor: float = XI_FLOOR,
 ) -> CheckReport:
     """Check the error-share vector invariants of Eq. 6/8."""
     report = CheckReport()
     if not xi:
         report.add("xi-empty", Severity.ERROR, "xi assigns no shares")
         return report
-    if xi_floor is None:
-        try:
-            from ..optimize.sqp import XI_FLOOR as xi_floor_value
-        except ImportError:  # scipy unavailable: fall back to the constant
-            xi_floor_value = _DEFAULT_XI_FLOOR
-        xi_floor = xi_floor_value
     total = float(sum(xi.values()))
     if abs(total - 1.0) > XI_SUM_TOLERANCE:
         report.add(

@@ -250,7 +250,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if outcome.degraded:
         print(
             "WARNING: xi optimization degraded to the equal scheme "
-            "(solver fallback chain exhausted); allocation is "
+            "(the profiles admit no Eq. 8 solution); allocation is "
             "conservative"
         )
     if outcome.weight_search is not None:
@@ -988,7 +988,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         help=(
             "comma-separated component toggles to ablate "
-            "(fallback,xi,cache,scheme,backend; default all)"
+            "(xi,cache,scheme,backend; default all)"
         ),
     )
     p.add_argument(

@@ -63,10 +63,10 @@ class TransientError(ReproError):
 
 
 class RetryExhaustedError(OptimizationError):
-    """Every attempt in a fallback chain failed.
+    """Every attempt of a bounded retry loop failed.
 
     ``attempts`` records the per-attempt failure messages in order, so
-    the exhaustion report shows the whole chain, not just the last
+    the exhaustion report shows every attempt, not just the last
     error.
     """
 
@@ -83,6 +83,6 @@ class DegradedResultWarning(UserWarning):
     """A result came from a degraded fallback path, not the primary solver.
 
     Not a :class:`ReproError`: the pipeline *succeeded*, but via a safe
-    fallback (e.g. the equal-xi scheme after SLSQP exhaustion), and the
-    result is correspondingly conservative.
+    fallback (e.g. the equal-xi scheme when the profiles admit no Eq. 8
+    solution), and the result is correspondingly conservative.
     """

@@ -14,8 +14,7 @@ from .objective import (
     mac_energy_objective,
     resolve_objective,
 )
-from .projected import optimize_xi_projected, project_to_simplex
-from .sqp import XiSolution, equal_xi, optimize_xi
+from .eq8 import XiSolution, equal_xi, optimize_xi
 
 __all__ = [
     "AllocationResult",
@@ -32,8 +31,6 @@ __all__ = [
     "objective_cost",
     "optimize_xi",
     "optimize_xi_constrained",
-    "optimize_xi_projected",
-    "project_to_simplex",
     "resolve_objective",
     "tradeoff_frontier",
 ]

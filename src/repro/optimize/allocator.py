@@ -8,16 +8,18 @@ combine with measured integer bits, and package as a
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 from ..analysis.profiler import LayerErrorProfile
 from ..analysis.sigma_search import deltas_for_sigma
+from ..errors import DegradedResultWarning, OptimizationError
 from ..nn.statistics import LayerStats
 from ..quant.allocation import BitwidthAllocation
 from ..telemetry.session import Telemetry
+from .eq8 import XiSolution, equal_xi, optimize_xi
 from .objective import Objective, resolve_objective
-from .sqp import XiSolution, equal_xi, optimize_xi
 
 
 @dataclass
@@ -30,13 +32,9 @@ class AllocationResult:
     sigma: float
     objective: Objective
     solution: Optional[XiSolution] = None
-    #: True when the xi came from a fallback path (equal-xi degradation
-    #: after solver exhaustion), not the primary Eq. 8 solver.
+    #: True when the profiles admit no Eq. 8 solution and the xi fell
+    #: back to the equal scheme.
     degraded: bool = False
-    #: Provenance of the resilient solve (attempt count, failures); a
-    #: :class:`repro.resilience.FallbackReport` when ``fallback`` was
-    #: requested, else None.
-    fallback: Optional[object] = None
 
     def bitwidths(self) -> Dict[str, int]:
         return self.allocation.bitwidths()
@@ -51,55 +49,54 @@ def allocate_optimized(
     stats: Mapping[str, LayerStats],
     sigma: float,
     ordered_names: Optional[List[str]] = None,
-    fallback: bool = False,
     strict: bool = False,
-    seed: int = 0,
-    solver: Optional[Callable[..., XiSolution]] = None,
     telemetry: Optional[Telemetry] = None,
 ) -> AllocationResult:
     """Optimize xi for an objective and emit the bitwidth allocation.
 
-    With ``fallback=True`` the solve goes through the resilience chain
-    (multi-start retries, then equal-xi degradation tagged
-    ``degraded=True``; ``strict=True`` raises
-    :class:`~repro.errors.RetryExhaustedError` instead of degrading).
-    ``solver`` overrides the Eq. 8 solver — the chaos harness's hook.
+    When the profiles admit no Eq. 8 solution (a non-positive lambda
+    the permissive guardrails let through, or floors past the unit
+    budget), the allocation falls back to the equal scheme with a
+    :class:`~repro.errors.DegradedResultWarning` and ``degraded=True``;
+    ``strict=True`` re-raises the :class:`~repro.errors.OptimizationError`
+    instead.
     """
     session = Telemetry.create(telemetry)
     names = list(ordered_names or profiles)
     objective = resolve_objective(objective, stats)
-    report = None
+    solution: Optional[XiSolution] = None
     with session.tracer.span(
-        "allocator.allocate",
-        objective=objective.name,
-        sigma=float(sigma),
-        fallback=fallback,
+        "allocator.allocate", objective=objective.name, sigma=float(sigma)
     ):
-        if fallback:
-            from ..resilience.fallback import solve_xi_with_fallback
-
-            solution, report = solve_xi_with_fallback(
-                objective, profiles, sigma, strict=strict, seed=seed,
-                solver=solver, telemetry=session,
-            )
-        else:
-            with session.tracer.span(
-                "solver.solve", objective=objective.name, sigma=float(sigma)
-            ):
-                solution = (solver or optimize_xi)(objective, profiles, sigma)
-        deltas = deltas_for_sigma(profiles, sigma, xi=solution.xi)
+        with session.tracer.span(
+            "solver.solve", objective=objective.name, sigma=float(sigma)
+        ) as solve_span:
+            try:
+                solution = optimize_xi(objective, profiles, sigma)
+            except OptimizationError as exc:
+                if strict:
+                    raise
+                session.metrics.counter("repro_solver_fallbacks_total").inc()
+                warnings.warn(
+                    f"xi optimization degraded to equal-xi for objective "
+                    f"{objective.name!r}: {exc}",
+                    DegradedResultWarning,
+                    stacklevel=2,
+                )
+            solve_span.set(degraded=solution is None)
+        xi = equal_xi(names) if solution is None else solution.xi
+        deltas = deltas_for_sigma(profiles, sigma, xi=xi)
         allocation = BitwidthAllocation.from_deltas(
             [stats[name] for name in names], deltas
         )
     return AllocationResult(
         allocation=allocation,
-        xi=solution.xi,
+        xi=xi,
         deltas=deltas,
         sigma=sigma,
         objective=objective,
         solution=solution,
-        degraded=bool(report.degraded) if report else False,
-        fallback=report,
+        degraded=solution is None,
     )
 
 

@@ -4,13 +4,21 @@ another.
 The paper closes with "designers can formulate different optimization
 criteria using our framework"; the most common real formulation is not
 a weighted blend but a *budgeted* trade: minimize MAC energy subject to
-the memory interface's bandwidth ceiling (or vice versa).  Both costs
-are smooth functions of xi through Eq. 7, so the same SLSQP machinery
-solves it with one extra inequality constraint:
+the memory interface's bandwidth ceiling (or vice versa)::
 
     min  sum_K rho_K   * (-log2 Delta_K(xi))            (objective)
     s.t. sum_K cap_K   * (-log2 Delta_K(xi)) <= budget  (cap)
          sum_K xi_K = 1,  xi_K >= floor_K
+
+Both sums are convex in xi, so a multiplier ``nu >= 0`` on the cap turns
+this into the plain Eq. 8 problem with weights ``rho + nu * cap`` (both
+normalised), which :func:`~repro.optimize.eq8.solve_shares` solves
+exactly.  Scaling the weights does not move the solution, so the solve
+runs on ``(1 - alpha) * rho + alpha * cap`` with ``alpha = nu / (1 +
+nu)`` in ``[0, 1]``; ``alpha = 1`` is the cap-optimal point.  The cap
+cost of the solution falls as ``alpha`` grows: when ``alpha = 0``
+already meets the budget the cap does not bind, otherwise a bisection
+finds the ``alpha`` where the cap cost meets the budget.
 
 Budgets are stated in the cap objective's *weighted bits* (same units
 as ``BitwidthAllocation.weighted_bits``), continuous before the ceil()
@@ -23,12 +31,11 @@ from dataclasses import dataclass
 from typing import Dict, Mapping
 
 import numpy as np
-from scipy import optimize as sciopt
 
 from ..analysis.profiler import LayerErrorProfile
 from ..errors import OptimizationError
+from .eq8 import eq8_layers, solve_shares, weighted_bits
 from .objective import Objective
-from .sqp import XiSolution, _feasibility_floor
 
 
 @dataclass
@@ -39,8 +46,6 @@ class ConstrainedSolution:
     objective_value: float
     cap_value: float
     cap_budget: float
-    success: bool
-    message: str
 
     @property
     def cap_satisfied(self) -> bool:
@@ -50,15 +55,6 @@ class ConstrainedSolution:
         tolerance = 1e-6 * max(1.0, abs(self.cap_budget))
         return self.cap_value <= self.cap_budget + tolerance
 
-    def as_xi_solution(self) -> XiSolution:
-        return XiSolution(
-            xi=self.xi,
-            objective_value=self.objective_value,
-            success=self.success,
-            message=self.message,
-            num_iterations=0,
-        )
-
 
 def optimize_xi_constrained(
     objective: Objective,
@@ -66,7 +62,6 @@ def optimize_xi_constrained(
     cap_budget: float,
     profiles: Mapping[str, LayerErrorProfile],
     sigma: float,
-    max_iterations: int = 300,
 ) -> ConstrainedSolution:
     """Minimize ``objective`` subject to ``cap``'s weighted bits <= budget.
 
@@ -78,63 +73,23 @@ def optimize_xi_constrained(
         raise OptimizationError(
             "objective, cap, and profiles must cover the same layers"
         )
-    # Normalize both weightings so SLSQP works on O(1) quantities; the
-    # reported values are rescaled back to the caller's units.
+    # Work on normalised weights; the reported values are rescaled back
+    # to the caller's units.
     rho_raw = np.array([objective.rho[name] for name in names], dtype=float)
     cap_raw = np.array([cap.rho[name] for name in names], dtype=float)
     rho_scale = float(rho_raw.sum())
     cap_scale = float(cap_raw.sum())
-    if rho_scale <= 0 or cap_scale <= 0:
-        raise OptimizationError("objective and cap need positive weights")
     rho = rho_raw / rho_scale
     cap_rho = cap_raw / cap_scale
     cap_budget_scaled = cap_budget / cap_scale
-    lam = np.array([profiles[name].lam for name in names])
-    theta = np.array([profiles[name].theta for name in names])
-    floors = np.array(
-        [
-            _feasibility_floor(
-                profiles[name].lam, profiles[name].theta, sigma, name=name
-            )
-            for name in names
-        ]
-    )
-    if floors.sum() >= 1.0:
-        raise OptimizationError("infeasible: floors exceed the unit budget")
+    a, theta, floors = eq8_layers(names, profiles, sigma)
 
-    log2 = np.log(2.0)
-
-    def delta_of(xi):
-        return lam * sigma * np.sqrt(xi) + theta
-
-    def weighted_bits(xi, weights):
-        return float((weights * -np.log2(delta_of(xi))).sum())
-
-    def objective_fn(xi):
-        return weighted_bits(xi, rho)
-
-    def objective_grad(xi):
-        delta = delta_of(xi)
-        d_delta = lam * sigma / (2.0 * np.sqrt(xi))
-        return -(rho * d_delta) / (delta * log2)
-
-    def cap_fn(xi):
-        # SLSQP convention: constraint >= 0.
-        return cap_budget_scaled - weighted_bits(xi, cap_rho)
-
-    def cap_grad(xi):
-        delta = delta_of(xi)
-        d_delta = lam * sigma / (2.0 * np.sqrt(xi))
-        return (cap_rho * d_delta) / (delta * log2)
+    def cap_bits(xi: np.ndarray) -> float:
+        return weighted_bits(xi, cap_rho, a, theta)
 
     # Feasibility check: the cap-optimal point is the best achievable
     # cap value; if even that exceeds the budget, no xi satisfies it.
-    from .sqp import optimize_xi
-
-    cap_opt = optimize_xi(cap, profiles, sigma)
-    best_cap = weighted_bits(
-        np.array([cap_opt.xi[name] for name in names]), cap_rho
-    )
+    best_cap = cap_bits(solve_shares(cap_rho, a, theta, floors))
     if best_cap > cap_budget_scaled:
         raise OptimizationError(
             f"cap budget {cap_budget:.4g} is infeasible; the best "
@@ -142,28 +97,31 @@ def optimize_xi_constrained(
             f"{best_cap * cap_scale:.4g}"
         )
 
-    start = np.array([cap_opt.xi[name] for name in names])
-    start = np.maximum(start, floors)
-    start = start / start.sum()
-    result = sciopt.minimize(
-        objective_fn,
-        start,
-        jac=objective_grad,
-        method="SLSQP",
-        bounds=[(float(f), 1.0) for f in floors],
-        constraints=[
-            {"type": "eq", "fun": lambda xi: xi.sum() - 1.0},
-            {"type": "ineq", "fun": cap_fn, "jac": cap_grad},
-        ],
-        options={"maxiter": max_iterations, "ftol": 1e-12},
-    )
-    xi = np.clip(result.x, floors, 1.0)
-    xi = xi / xi.sum()
+    def shares(alpha: float) -> np.ndarray:
+        weights = (1.0 - alpha) * rho + alpha * cap_rho
+        return solve_shares(weights, a, theta, floors)
+
+    xi = shares(0.0)
+    if cap_bits(xi) > cap_budget_scaled:
+        # The cap binds.  alpha = 1 is the cap-optimal point, which
+        # meets the budget; halve alpha until it does not, then bisect
+        # until the midpoint is one of the ends.  ``hi`` always meets
+        # the budget.
+        hi, lo = 1.0, 0.5
+        while cap_bits(shares(lo)) <= cap_budget_scaled:
+            hi, lo = lo, 0.5 * lo
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                break
+            if cap_bits(shares(mid)) > cap_budget_scaled:
+                lo = mid
+            else:
+                hi = mid
+        xi = shares(hi)
     return ConstrainedSolution(
         xi={name: float(x) for name, x in zip(names, xi)},
-        objective_value=objective_fn(xi) * rho_scale,
-        cap_value=weighted_bits(xi, cap_rho) * cap_scale,
+        objective_value=weighted_bits(xi, rho, a, theta) * rho_scale,
+        cap_value=cap_bits(xi) * cap_scale,
         cap_budget=cap_budget,
-        success=bool(result.success),
-        message=str(result.message),
     )

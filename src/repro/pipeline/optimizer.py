@@ -19,9 +19,9 @@ Resilience: with a persistent ``cache``, every expensive stage
 (per-layer profiles, sigma evaluations, whole outcomes) is published as
 soon as it finishes, so a re-run after a crash resumes from the last
 completed unit of work; ``strict`` escalates guardrail
-warnings and solver degradation to errors; the default fallback chain
-retries a failed Eq. 8 solve and degrades to equal-xi with the outcome
-tagged ``degraded=True``.
+warnings and solver degradation to errors; otherwise profiles that admit
+no Eq. 8 solution degrade to equal-xi with the outcome tagged
+``degraded=True``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..analysis.profiler import ErrorProfiler, ProfileReport
 from ..analysis.sigma_search import (
@@ -89,7 +89,7 @@ class OptimizationOutcome:
 
     @property
     def degraded(self) -> bool:
-        """True when the xi came from a fallback, not the Eq. 8 solver."""
+        """True when the xi fell back to the equal scheme."""
         return self.result.degraded
 
 
@@ -106,9 +106,7 @@ class PrecisionOptimizer:
         batch_size: int = 64,
         refine: bool = True,
         strict: bool = False,
-        fallback: bool = True,
         transient_retries: int = 2,
-        xi_solver: Optional[Callable] = None,
         verify: bool = True,
         parallel: Optional[ParallelSettings] = None,
         telemetry: Union[None, TelemetrySettings, Telemetry] = None,
@@ -141,16 +139,11 @@ class PrecisionOptimizer:
         #: Re-profile around the operating Deltas once sigma is known
         #: (the paper's iterative Delta guessing, Sec. V-A).
         self.refine = refine
-        #: Strict mode: guardrail diagnostics and solver exhaustion
+        #: Strict mode: guardrail diagnostics and Eq. 8 failures
         #: raise instead of warning/degrading.
         self.strict = strict
-        #: Route Eq. 8 solves through the resilience fallback chain.
-        self.fallback = fallback
         #: Transient-evaluator retries during the sigma search.
         self.transient_retries = transient_retries
-        #: Override the Eq. 8 solver (dependency injection for chaos
-        #: testing; None means the real SLSQP solver).
-        self.xi_solver = xi_solver
         #: Pre-run static verification (graph structure, shape
         #: re-inference, parameter dtypes) and post-allocation audits
         #: (overflow, negative-F, xi invariants, Eq. 5 fit gates).
@@ -182,7 +175,6 @@ class PrecisionOptimizer:
             "batch_size": self.batch_size,
             "refine": self.refine,
             "strict": self.strict,
-            "fallback": self.fallback,
             "profile": dataclasses.asdict(self.profile_settings),
             "search": dataclasses.asdict(self.search_settings),
             "parallel": dataclasses.asdict(self.parallel),
@@ -404,12 +396,12 @@ class PrecisionOptimizer:
             if isinstance(objective, str)
             else getattr(objective, "name", str(objective))
         )
-        # Whole-outcome memoization: a named-objective run with the
-        # stock solver is a pure function of the key below, so a warm
-        # sweep restores the allocation without touching the pipeline.
-        # Custom objectives/solvers are opaque callables and bypass it.
+        # Whole-outcome memoization: a named-objective run is a pure
+        # function of the key below, so a warm sweep restores the
+        # allocation without touching the pipeline.  Custom objectives
+        # are opaque and bypass it.
         outcome_key: Optional[str] = None
-        if isinstance(objective, str) and self.xi_solver is None:
+        if isinstance(objective, str):
             outcome_key = self._outcome_key(
                 objective, accuracy_drop, validate, search_weights,
                 weight_start_bits,
@@ -437,10 +429,7 @@ class PrecisionOptimizer:
                     self.stats(),
                     sigma,
                     ordered_names=self.layer_names,
-                    fallback=self.fallback,
                     strict=self.strict,
-                    seed=self.search_settings.seed,
-                    solver=self.xi_solver,
                     telemetry=self.telemetry,
                 )
                 outcome, weight_search_failed = self._finish(
@@ -505,7 +494,6 @@ class PrecisionOptimizer:
                 "batch_size": self.batch_size,
                 "refine": self.refine,
                 "strict": self.strict,
-                "fallback": self.fallback,
                 "profile": dataclasses.asdict(self.profile_settings),
                 "search": dataclasses.asdict(self.search_settings),
             }

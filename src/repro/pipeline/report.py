@@ -138,12 +138,10 @@ def describe_outcome(outcome, stats=None, profile_report=None) -> str:
         )
     )
     if getattr(outcome.result, "degraded", False):
-        fallback = outcome.result.fallback
-        detail = f" ({fallback.describe()})" if fallback is not None else ""
         lines.append(
-            "DEGRADED: xi optimization fell back to the equal scheme "
-            "after solver exhaustion; the allocation is feasible but "
-            "conservative" + detail
+            "DEGRADED: the profiles admit no Eq. 8 solution, so xi fell "
+            "back to the equal scheme; the allocation is feasible but "
+            "conservative"
         )
     rows = []
     for layer in allocation:

@@ -1,12 +1,12 @@
-"""Resilience layer: guardrails, fallback chains, chaos.
+"""Resilience layer: guardrails, retries, chaos.
 
 The paper's pipeline is a chain of numerically fragile stages; this
 package makes failure a first-class path instead of a crash:
 
 * :mod:`~repro.resilience.guards` — NaN/Inf and degenerate-value
   detection with structured :class:`Diagnostic` records.
-* :mod:`~repro.resilience.fallback` — multi-start retry for the Eq. 8
-  solver and graceful degradation to the equal-xi scheme.
+* :mod:`~repro.resilience.fallback` — bounded retries of transient
+  evaluator failures.
 * :mod:`~repro.resilience.chaos` — seeded fault injection harness used
   by ``tests/resilience/`` to prove every degradation path.
 
@@ -24,13 +24,9 @@ _EXPORTS = {
     "ChaosNetwork": "chaos",
     "FaultSchedule": "chaos",
     "SimulatedCrash": "chaos",
-    "broken_solver": "chaos",
     "crash_after_layers": "chaos",
     "flaky": "chaos",
-    "DEFAULT_XI_RETRIES": "fallback",
-    "FallbackReport": "fallback",
     "call_with_retries": "fallback",
-    "solve_xi_with_fallback": "fallback",
     "Diagnostic": "guards",
     "R_SQUARED_FLOOR": "guards",
     "check_finite_array": "guards",
@@ -47,16 +43,10 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         ChaosNetwork,
         FaultSchedule,
         SimulatedCrash,
-        broken_solver,
         crash_after_layers,
         flaky,
     )
-    from .fallback import (  # noqa: F401
-        DEFAULT_XI_RETRIES,
-        FallbackReport,
-        call_with_retries,
-        solve_xi_with_fallback,
-    )
+    from .fallback import call_with_retries  # noqa: F401
     from .guards import (  # noqa: F401
         R_SQUARED_FLOOR,
         Diagnostic,

@@ -4,9 +4,8 @@ Resilience claims are worthless untested: this module wraps the real
 substrate objects and injects configurable faults on a *seeded,
 deterministic schedule*, so the `tests/resilience/` suite can prove
 every degradation path end-to-end — NaN activations must trip the
-guardrails, transient evaluator exceptions must be retried, a simulated
-crash mid-profiling must be resumable, and SLSQP non-convergence must
-degrade to equal-xi.
+guardrails, transient evaluator exceptions must be retried, and a
+simulated crash mid-profiling must be resumable.
 
 Nothing here is imported by the production pipeline; it is a test
 harness shipped as library code so downstream users can chaos-test
@@ -21,7 +20,7 @@ from typing import Callable, Optional, Set
 
 import numpy as np
 
-from ..errors import OptimizationError, ReproError, TransientError
+from ..errors import ReproError, TransientError
 
 
 class SimulatedCrash(ReproError):
@@ -195,31 +194,6 @@ def flaky(
         return fn(*args, **kwargs)
 
     return wrapper
-
-
-def broken_solver(
-    fail_times: Optional[int] = None,
-    message: str = "chaos: SLSQP did not converge",
-):
-    """A drop-in for ``optimize_xi`` that fails its first N calls.
-
-    ``fail_times=None`` fails forever — the knob for proving the
-    equal-xi degradation endgame; a finite count proves multi-start
-    recovery.  Accepts (and records) the retry kwargs the fallback
-    chain passes, then delegates to the real solver once exhausted.
-    """
-    from ..optimize.sqp import optimize_xi
-
-    state = {"calls": 0}
-
-    def solver(objective, profiles, sigma, **kwargs):
-        state["calls"] += 1
-        if fail_times is None or state["calls"] <= fail_times:
-            raise OptimizationError(message)
-        return optimize_xi(objective, profiles, sigma, **kwargs)
-
-    solver.state = state
-    return solver
 
 
 def crash_after_layers(

@@ -1,17 +1,4 @@
-"""Solver fallback chain and transient-failure retries.
-
-SLSQP on Eq. 8 can fail: a bad start point, floors pushed against the
-unit simplex, or a degenerate regression feeding it nonsense.  Instead
-of killing a run that already spent minutes profiling, the chain here
-
-1. retries with perturbed (seeded) start points and progressively
-   tightened xi floors — multi-start is the standard cure for SQP
-   landing in a bad basin, and raising the floor keeps the iterates
-   away from the ``sqrt(xi)`` singularity at zero, then
-2. degrades gracefully to the analytic equal-xi scheme, tagging the
-   result ``degraded=True`` so reports and callers can see a fallback
-   produced it (strict mode raises
-   :class:`~repro.errors.RetryExhaustedError` instead).
+"""Transient-failure retries.
 
 :func:`call_with_retries` is the generic transient-retry primitive the
 sigma search uses for flaky accuracy evaluators.
@@ -19,52 +6,11 @@ sigma search uses for flaky accuracy evaluators.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
-from typing import Callable, List, Mapping, Optional, Tuple, TypeVar
+from typing import Callable, List, TypeVar
 
-import numpy as np
-
-from ..errors import (
-    DegradedResultWarning,
-    OptimizationError,
-    RetryExhaustedError,
-    TransientError,
-)
-from ..optimize.objective import Objective
-from ..optimize.sqp import XI_FLOOR, XiSolution, equal_xi, optimize_xi
-from ..telemetry.session import Telemetry
+from ..errors import RetryExhaustedError, TransientError
 
 T = TypeVar("T")
-
-#: Multi-start attempts after the deterministic first try.
-DEFAULT_XI_RETRIES = 3
-
-#: Each retry multiplies the xi floor by this factor.
-FLOOR_TIGHTEN_FACTOR = 10.0
-
-
-@dataclass
-class FallbackReport:
-    """Provenance of a resilient xi solve."""
-
-    attempts: int = 1
-    degraded: bool = False
-    #: Per-attempt failure messages (empty when the first try succeeded).
-    failures: List[str] = field(default_factory=list)
-
-    def describe(self) -> str:
-        if not self.degraded and self.attempts == 1:
-            return "primary solver succeeded on first attempt"
-        if self.degraded:
-            return (
-                f"DEGRADED to equal-xi after {self.attempts} failed "
-                f"attempts ({'; '.join(self.failures)})"
-            )
-        return (
-            f"recovered on attempt {self.attempts} "
-            f"(earlier failures: {'; '.join(self.failures)})"
-        )
 
 
 def call_with_retries(
@@ -91,109 +37,3 @@ def call_with_retries(
         f"{label} failed {retries + 1} times; last error: {failures[-1]}",
         attempts=failures,
     )
-
-
-def _perturbed_start(
-    count: int, floors: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """A random feasible simplex point biased toward the equal share."""
-    raw = rng.dirichlet(np.full(count, 4.0))
-    start = np.maximum(raw, floors)
-    return start / start.sum()
-
-
-def solve_xi_with_fallback(
-    objective: Objective,
-    profiles: Mapping[str, "object"],
-    sigma: float,
-    max_retries: int = DEFAULT_XI_RETRIES,
-    strict: bool = False,
-    seed: int = 0,
-    solver: Optional[Callable[..., XiSolution]] = None,
-    telemetry: Optional[Telemetry] = None,
-) -> Tuple[XiSolution, FallbackReport]:
-    """Solve Eq. 8 with multi-start retries and equal-xi degradation.
-
-    ``solver`` defaults to :func:`repro.optimize.sqp.optimize_xi`; the
-    chaos harness injects failing solvers through it to exercise every
-    branch of the chain.
-    """
-    session = Telemetry.create(telemetry)
-    tracer = session.tracer
-    metrics = session.metrics
-    solver = solver or optimize_xi
-    names = [name for name in profiles if name in objective.rho]
-    report = FallbackReport()
-    rng = np.random.default_rng(seed)
-
-    with tracer.span(
-        "solver.solve",
-        objective=objective.name,
-        sigma=float(sigma),
-        num_layers=len(names),
-    ) as solve_span:
-        for attempt in range(max_retries + 1):
-            report.attempts = attempt + 1
-            floor = XI_FLOOR * (FLOOR_TIGHTEN_FACTOR ** attempt)
-            kwargs = {}
-            if attempt > 0:
-                metrics.counter("repro_solver_retries_total").inc()
-                # Retry knobs: perturbed start + tightened floor.
-                # Floors are recomputed inside the solver; we only pass
-                # overrides the baseline call would not use.
-                count = len(names)
-                kwargs["start"] = _perturbed_start(
-                    count, np.full(count, floor), rng
-                )
-                kwargs["xi_floor"] = floor
-            with tracer.span(
-                "solver.attempt", attempt=attempt + 1, xi_floor=float(floor)
-            ) as attempt_span:
-                try:
-                    solution = solver(objective, profiles, sigma, **kwargs)
-                except OptimizationError as exc:
-                    attempt_span.set(outcome="error")
-                    report.failures.append(f"attempt {attempt + 1}: {exc}")
-                    continue
-                if solution.success:
-                    attempt_span.set(outcome="success")
-                    solve_span.set(
-                        attempts=report.attempts, degraded=False
-                    )
-                    return solution, report
-                attempt_span.set(outcome="reported_failure")
-                report.failures.append(
-                    f"attempt {attempt + 1}: solver reported failure "
-                    f"({solution.message})"
-                )
-
-        if strict:
-            raise RetryExhaustedError(
-                f"xi optimization failed after {report.attempts} attempts "
-                f"for objective {objective.name!r}",
-                attempts=report.failures,
-            )
-
-        # Graceful degradation: the analytic equal scheme is always
-        # feasible and conservative — every layer gets the same share.
-        report.degraded = True
-        metrics.counter("repro_solver_fallbacks_total").inc()
-        solve_span.set(attempts=report.attempts, degraded=True)
-        warnings.warn(
-            f"xi optimization degraded to equal-xi for objective "
-            f"{objective.name!r} after {report.attempts} failed attempts",
-            DegradedResultWarning,
-            stacklevel=2,
-        )
-        xi = equal_xi(names)
-        solution = XiSolution(
-            xi=xi,
-            objective_value=float("nan"),
-            success=False,
-            message=(
-                "degraded to equal-xi after retry exhaustion: "
-                + "; ".join(report.failures)
-            ),
-            num_iterations=0,
-        )
-    return solution, report

@@ -1,6 +1,6 @@
 """Numerical guardrails: catch NaN/Inf and degenerate values early.
 
-The pipeline's stages (profiling regressions, sigma brackets, SLSQP)
+The pipeline's stages (profiling regressions, sigma brackets, Eq. 8)
 each assume well-behaved inputs; when that assumption breaks, the
 failure mode without guardrails is silent garbage propagating several
 stages downstream.  Every guard here produces structured

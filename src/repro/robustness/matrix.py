@@ -1,9 +1,9 @@
 """Ablation run-matrix generation: baseline + one variant per component.
 
-The pipeline's load-bearing components (solver fallback chain, xi
-optimization, persistent cache, accuracy-test scheme, execution
-backend) each get one or two matrix variants that
-toggle *only that component* relative to the baseline configuration.
+The pipeline's load-bearing components (xi optimization, persistent
+cache, accuracy-test scheme, execution backend) each get one matrix
+variant that toggles *only that component* relative to the baseline
+configuration.
 Running the matrix and differencing each variant against the baseline
 turns "this component matters" from an assertion into a measurement
 (accuracy delta, cost-bits delta, wall-clock delta) — see
@@ -31,12 +31,9 @@ class MatrixVariant:
     """One row of the ablation matrix: a named single-component toggle.
 
     ``config_overrides`` are :class:`~repro.experiments.common.
-    ExperimentConfig` field replacements; ``optimizer_overrides`` are extra :class:`~repro.pipeline.
-    PrecisionOptimizer` keyword arguments.  ``allocator`` selects the
+    ExperimentConfig` field replacements.  ``allocator`` selects the
     final allocation call ("optimized" = the Eq. 8 xi solve, "equal" =
-    the analytic equal-share scheme), and ``force_solver_failure``
-    installs an always-failing Eq. 8 solver so the run exercises the
-    fallback chain's degradation endgame.
+    the analytic equal-share scheme).
     """
 
     name: str
@@ -44,9 +41,7 @@ class MatrixVariant:
     component: str
     description: str
     config_overrides: Mapping[str, object] = field(default_factory=dict)
-    optimizer_overrides: Mapping[str, object] = field(default_factory=dict)
     allocator: str = "optimized"
-    force_solver_failure: bool = False
 
     def __post_init__(self) -> None:
         if self.allocator not in ("optimized", "equal"):
@@ -71,9 +66,7 @@ class MatrixVariant:
             "component": self.component,
             "description": self.description,
             "config_overrides": dict(self.config_overrides),
-            "optimizer_overrides": dict(self.optimizer_overrides),
             "allocator": self.allocator,
-            "force_solver_failure": self.force_solver_failure,
         }
 
 
@@ -87,29 +80,6 @@ def baseline_variant() -> MatrixVariant:
 
 # ----------------------------------------------------------------------
 VariantBuilder = Callable[["ExperimentConfig"], List[MatrixVariant]]
-
-
-def _fallback_variants(config: "ExperimentConfig") -> List[MatrixVariant]:
-    return [
-        MatrixVariant(
-            name="fallback:off",
-            component="fallback",
-            description=(
-                "solver fallback chain disabled; an Eq. 8 failure "
-                "aborts the cell instead of degrading to equal-xi"
-            ),
-            optimizer_overrides={"fallback": False},
-        ),
-        MatrixVariant(
-            name="fallback:forced",
-            component="fallback",
-            description=(
-                "Eq. 8 solver forced to fail on every call; measures "
-                "what the fallback chain's equal-xi endgame costs"
-            ),
-            force_solver_failure=True,
-        ),
-    ]
 
 
 def _xi_variants(config: "ExperimentConfig") -> List[MatrixVariant]:
@@ -177,7 +147,6 @@ def _backend_variants(config: "ExperimentConfig") -> List[MatrixVariant]:
 
 #: Component registry: toggle name -> variant builder.
 COMPONENT_BUILDERS: Dict[str, VariantBuilder] = {
-    "fallback": _fallback_variants,
     "xi": _xi_variants,
     "cache": _cache_variants,
     "scheme": _scheme_variants,

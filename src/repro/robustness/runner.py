@@ -168,13 +168,6 @@ def build_cell_context(
         substrate = ChaosNetwork(
             network, crash_schedule=FaultSchedule.once(0)
         )
-    optimizer_kwargs: Dict[str, Any] = dict(
-        cell.variant.optimizer_overrides
-    )
-    if cell.variant.force_solver_failure:
-        from ..resilience.chaos import broken_solver
-
-        optimizer_kwargs["xi_solver"] = broken_solver(fail_times=None)
     optimizer = PrecisionOptimizer(
         substrate,
         test,
@@ -189,7 +182,6 @@ def build_cell_context(
             else config.telemetry_settings()
         ),
         cache=config.resolved_cache_dir(),
-        **optimizer_kwargs,
     )
     return ExperimentContext(
         config=config,

@@ -4,10 +4,7 @@ A :class:`Tracer` hands out :class:`Span` context managers.  Nesting is
 tracked per thread (a ``threading.local`` span stack), so one tracer
 can be shared by every worker thread of an injection campaign; each
 thread builds its own ancestry while closed spans land in one
-lock-protected buffer.  Process-pool workers run their own tracer and
-ship the closed spans back with the task result; the parent merges them
-via :meth:`Tracer.absorb`, re-parenting worker roots under the span
-that dispatched the work.
+lock-protected buffer.
 
 The :class:`NullTracer` is the disabled path: its spans are created but
 never timed (constant-zero clock) nor recorded, so instrumented code
@@ -134,20 +131,6 @@ class Tracer:
         with self._lock:
             return list(self._finished)
 
-    def absorb(
-        self, spans: Sequence[Span], parent_id: Optional[str] = None
-    ) -> None:
-        """Merge spans recorded by a worker tracer into this buffer.
-
-        Worker-root spans (``parent_id is None``) are re-parented under
-        ``parent_id`` so the merged trace stays one connected tree.
-        """
-        with self._lock:
-            for span in spans:
-                if parent_id is not None and span.parent_id is None:
-                    span.parent_id = parent_id
-                self._finished.append(span)
-
     def clear(self) -> None:
         """Drop all buffered spans (tests and repeated exports)."""
         with self._lock:
@@ -186,8 +169,7 @@ NULL_TRACER = NullTracer()
 def merge_spans(spans: Sequence[Span]) -> List[Span]:
     """Deterministic export order: by start time, ties by span id.
 
-    Worker buffers merged via :meth:`Tracer.absorb` arrive grouped per
-    worker; sorting restores one stable global timeline (monotonic
-    clocks share an origin across processes on Linux).
+    Spans land in the buffer in closing order, which interleaves across
+    threads; sorting restores one stable timeline.
     """
     return sorted(spans, key=lambda s: (s.start, s.span_id, s.name))

@@ -15,7 +15,7 @@ from repro.check import (
 from repro.analysis.profiler import LayerErrorProfile
 from repro.models import build_model
 from repro.nn.statistics import LayerStats
-from repro.optimize.sqp import XI_FLOOR
+from repro.optimize.eq8 import XI_FLOOR
 from repro.quant.allocation import BitwidthAllocation, LayerAllocation
 from repro.quant.fixed_point import integer_bits_for_range
 

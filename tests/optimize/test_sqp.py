@@ -1,4 +1,4 @@
-"""Tests for the Eq. 8 SQP solver, including its analytic solution.
+"""Tests for the exact Eq. 8 solve, including its analytic solution.
 
 With theta = 0 the Lagrangian gives a closed form: xi_K proportional to
 rho_K.  The solver must recover it, and must respect the simplex

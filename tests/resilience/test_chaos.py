@@ -3,10 +3,12 @@
 These are the acceptance tests for the resilience layer: a simulated
 crash mid-run must resume from the persistent cache without redoing
 finished layers or sigma evaluations, NaN activations must trip the
-guardrails, transient evaluator faults must be retried, and forced
-SLSQP failure must degrade to an equal-xi allocation tagged
+guardrails, transient evaluator faults must be retried, and a profile
+Eq. 8 cannot use must degrade to an equal-xi allocation tagged
 ``degraded=True`` instead of raising.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from repro.config import ProfileSettings, SearchSettings
 from repro.errors import (
     DegradedResultWarning,
     NumericalGuardError,
+    OptimizationError,
     ReproError,
     RetryExhaustedError,
     TransientError,
@@ -29,7 +32,6 @@ from repro.resilience import (
     ChaosNetwork,
     FaultSchedule,
     SimulatedCrash,
-    broken_solver,
     crash_after_layers,
     flaky,
 )
@@ -378,18 +380,34 @@ class TestSharedCacheCannotGoStale:
 
 
 class TestSolverDegradation:
-    """Acceptance: forced SLSQP failure returns degraded equal-xi."""
+    """Acceptance: a fit Eq. 8 cannot use degrades to equal-xi."""
 
-    def test_forced_failure_degrades_to_equal_xi(self, lenet, datasets):
-        __, test = datasets
+    def degenerate_optimizer(self, lenet, test, strict=False):
+        """An optimizer whose first layer's fit has lambda < 0, theta > 0.
+
+        Scheme 2 searches sigma on the logits, so the search never reads
+        the profiles; theta is set so the equal share still predicts a
+        positive Delta for that layer.
+        """
         opt = PrecisionOptimizer(
             lenet,
             test,
             profile_settings=SETTINGS,
             search_settings=SEARCH,
+            scheme="scheme2",
             refine=False,
-            xi_solver=broken_solver(fail_times=None),
+            strict=strict,
         )
+        sigma = opt.sigma_for_drop(0.05).sigma
+        profiles = opt.profile().profiles
+        name = opt.layer_names[0]
+        share = sigma * np.sqrt(1.0 / len(profiles))
+        profiles[name] = replace(profiles[name], lam=-1.0, theta=2.0 * share)
+        return opt
+
+    def test_forced_failure_degrades_to_equal_xi(self, lenet, datasets):
+        __, test = datasets
+        opt = self.degenerate_optimizer(lenet, test)
         with pytest.warns(DegradedResultWarning):
             outcome = opt.optimize(
                 "input", accuracy_drop=0.05, validate=False
@@ -401,28 +419,6 @@ class TestSolverDegradation:
 
     def test_strict_mode_raises_instead_of_degrading(self, lenet, datasets):
         __, test = datasets
-        opt = PrecisionOptimizer(
-            lenet,
-            test,
-            profile_settings=SETTINGS,
-            search_settings=SEARCH,
-            refine=False,
-            strict=True,
-            xi_solver=broken_solver(fail_times=None),
-        )
-        with pytest.raises(RetryExhaustedError):
+        opt = self.degenerate_optimizer(lenet, test, strict=True)
+        with pytest.raises(OptimizationError, match="non-positive lambda"):
             opt.optimize("input", accuracy_drop=0.05, validate=False)
-
-    def test_multi_start_recovery_is_not_degraded(self, lenet, datasets):
-        __, test = datasets
-        opt = PrecisionOptimizer(
-            lenet,
-            test,
-            profile_settings=SETTINGS,
-            search_settings=SEARCH,
-            refine=False,
-            xi_solver=broken_solver(fail_times=1),
-        )
-        outcome = opt.optimize("input", accuracy_drop=0.05, validate=False)
-        assert outcome.degraded is False
-        assert outcome.result.fallback.attempts == 2

@@ -1,4 +1,6 @@
-"""Unit tests for the solver fallback chain and retry primitive."""
+"""Unit tests for the equal-xi degrade and the retry primitive."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,15 +8,15 @@ import pytest
 from repro.analysis.profiler import LayerErrorProfile
 from repro.errors import (
     DegradedResultWarning,
+    OptimizationError,
     RetryExhaustedError,
     TransientError,
 )
+from repro.nn.statistics import LayerStats
+from repro.optimize import allocate_optimized, optimize_xi
 from repro.optimize.objective import Objective
-from repro.resilience import (
-    broken_solver,
-    call_with_retries,
-    solve_xi_with_fallback,
-)
+from repro.resilience import call_with_retries
+from repro.telemetry import Telemetry
 
 
 def make_profiles(lams=(2.0, 1.0, 0.5)):
@@ -73,94 +75,69 @@ class TestCallWithRetries:
         assert calls["n"] == 1
 
 
-class TestSolveXiWithFallback:
-    def test_clean_solve_first_attempt(self):
-        profiles = make_profiles()
-        solution, report = solve_xi_with_fallback(
-            make_objective(profiles), profiles, sigma=0.5
-        )
-        assert solution.success
-        assert report.attempts == 1
-        assert not report.degraded
-        assert sum(solution.xi.values()) == pytest.approx(1.0)
+class TestEqualXiDegrade:
+    """Profiles that admit no Eq. 8 solution degrade to equal xi.
 
-    def test_recovers_via_multi_start(self):
-        profiles = make_profiles()
-        solver = broken_solver(fail_times=2)
-        solution, report = solve_xi_with_fallback(
-            make_objective(profiles), profiles, sigma=0.5, solver=solver
-        )
-        assert solution.success
-        assert report.attempts == 3
-        assert not report.degraded
-        assert len(report.failures) == 2
-        # retries passed the multi-start knobs through
-        assert solver.state["calls"] == 3
+    A fit with lambda <= 0 and theta > 0 passes the permissive
+    guardrails with a warning.  Eq. 8 has no solution for it, yet the
+    equal share still gives every layer a positive Delta.
+    """
 
-    def test_exhaustion_degrades_to_equal_xi(self):
+    def degenerate_profiles(self):
         profiles = make_profiles()
-        with pytest.warns(DegradedResultWarning):
-            solution, report = solve_xi_with_fallback(
-                make_objective(profiles),
-                profiles,
-                sigma=0.5,
-                solver=broken_solver(fail_times=None),
+        profiles["layer1"] = replace(profiles["layer1"], lam=-0.05, theta=0.05)
+        return profiles
+
+    def stats(self, profiles):
+        return {
+            name: LayerStats(
+                name=name, num_inputs=100, num_macs=1000, max_abs_input=4.0
             )
-        assert report.degraded
-        assert not solution.success
-        shares = set(round(x, 9) for x in solution.xi.values())
-        assert shares == {round(1.0 / len(profiles), 9)}
-        assert "degraded" in report.describe().lower()
+            for name in profiles
+        }
 
-    def test_strict_raises_retry_exhausted(self):
+    def test_healthy_profiles_are_not_degraded(self):
         profiles = make_profiles()
-        with pytest.raises(RetryExhaustedError) as excinfo:
-            solve_xi_with_fallback(
+        result = allocate_optimized(
+            make_objective(profiles), profiles, self.stats(profiles), 0.5
+        )
+        assert not result.degraded
+        assert result.solution is not None
+        assert sum(result.xi.values()) == pytest.approx(1.0)
+
+    def test_degenerate_profile_degrades_to_equal_xi(self):
+        profiles = self.degenerate_profiles()
+        objective = make_objective(profiles)
+        with pytest.raises(OptimizationError, match="layer1"):
+            optimize_xi(objective, profiles, 0.5)
+        session = Telemetry()
+        with pytest.warns(DegradedResultWarning, match="layer1"):
+            result = allocate_optimized(
+                objective,
+                profiles,
+                self.stats(profiles),
+                0.5,
+                telemetry=session,
+            )
+        assert result.degraded
+        assert result.solution is None
+        assert set(result.xi.values()) == {1.0 / len(profiles)}
+        # The equal share is a valid allocation: every Delta is the
+        # fit's own prediction, none is clamped.
+        for name, profile in profiles.items():
+            predicted = profile.delta_for_sigma(0.5 * np.sqrt(result.xi[name]))
+            assert predicted > 0
+            assert result.deltas[name] == predicted
+        fallbacks = session.metrics.counter("repro_solver_fallbacks_total")
+        assert fallbacks.value == 1
+
+    def test_strict_reraises(self):
+        profiles = self.degenerate_profiles()
+        with pytest.raises(OptimizationError, match="non-positive lambda"):
+            allocate_optimized(
                 make_objective(profiles),
                 profiles,
-                sigma=0.5,
+                self.stats(profiles),
+                0.5,
                 strict=True,
-                solver=broken_solver(fail_times=None),
             )
-        # every attempt's failure is recorded in order
-        assert len(excinfo.value.attempts) >= 2
-
-    def test_unsuccessful_solution_triggers_retry(self):
-        profiles = make_profiles()
-        from repro.optimize.sqp import XiSolution, optimize_xi
-
-        calls = {"n": 0}
-
-        def soft_failer(objective, profiles_, sigma, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                share = 1.0 / len(profiles_)
-                return XiSolution(
-                    xi={name: share for name in profiles_},
-                    objective_value=0.0,
-                    success=False,
-                    message="iteration limit",
-                    num_iterations=200,
-                )
-            return optimize_xi(objective, profiles_, sigma, **kwargs)
-
-        solution, report = solve_xi_with_fallback(
-            make_objective(profiles), profiles, sigma=0.5, solver=soft_failer
-        )
-        assert solution.success
-        assert report.attempts == 2
-        assert "solver reported failure" in report.failures[0]
-
-    def test_seeded_retries_are_deterministic(self):
-        profiles = make_profiles()
-        results = []
-        for __ in range(2):
-            solution, __report = solve_xi_with_fallback(
-                make_objective(profiles),
-                profiles,
-                sigma=0.5,
-                seed=7,
-                solver=broken_solver(fail_times=1),
-            )
-            results.append(solution.xi)
-        assert results[0] == results[1]

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.errors import DegradedResultWarning, ReproError
+from repro.errors import ReproError
 from repro.experiments import (
     AblationSpec,
     ExperimentConfig,
@@ -225,17 +225,6 @@ class TestScenarioAndFallbackCells:
         verdicts = {e.scenario: e.verdict for e in report.scenarios}
         assert set(verdicts) == {"topology:tiny", "drop:loose"}
         assert verdicts["drop:loose"] in ("ok", "degraded")
-
-    def test_forced_solver_failure_degrades_not_crashes(self):
-        with pytest.warns(DegradedResultWarning):
-            report = run_ablation_campaign(
-                AblationSpec(models=("lenet",), components=("fallback",)),
-                config=TINY,
-            )
-        by_variant = {r.variant: r for r in report.rows}
-        forced = by_variant["fallback:forced"]
-        assert forced.status == "ok"
-        assert forced.degraded is True
 
 
 class TestCampaignEvents:

@@ -63,14 +63,6 @@ class TestBuildMatrix:
         }
         assert names == {"backend:serial"}
 
-    def test_fallback_component_has_off_and_forced_variants(self):
-        variants = build_matrix(CONFIG, components=("fallback",))
-        by_name = {v.name: v for v in variants}
-        assert by_name["fallback:off"].optimizer_overrides == {
-            "fallback": False
-        }
-        assert by_name["fallback:forced"].force_solver_failure
-
 
 class TestMatrixVariant:
     def test_apply_replaces_config_fields(self):

@@ -77,9 +77,9 @@ class TestImportance:
 
     def test_failed_variant_is_critical_and_ranked_first(self):
         crashed = _row(
-            "component/fallback:off/lenet",
-            group="fallback",
-            variant="fallback:off",
+            "component/xi:equal/lenet",
+            group="xi",
+            variant="xi:equal",
             status="failed",
             failure=FailureRecord("X", "m", "allocation", "d" * 12),
         )
@@ -91,7 +91,7 @@ class TestImportance:
         )
         report = build_report([BASELINE, crashed, mild], elapsed_seconds=1.0)
         assert [e.component for e in report.importance] == [
-            "fallback",
+            "xi",
             "cache",
         ]
         first = report.importance[0]
@@ -195,9 +195,9 @@ class TestReportShape:
 
     def test_lines_mention_failures_and_counts(self):
         crashed = _row(
-            "component/fallback:off/lenet",
-            group="fallback",
-            variant="fallback:off",
+            "component/xi:equal/lenet",
+            group="xi",
+            variant="xi:equal",
             status="failed",
             failure=FailureRecord("Boom", "m", "allocation", "f" * 12),
         )
@@ -206,5 +206,5 @@ class TestReportShape:
         ).lines()
         text = "\n".join(lines)
         assert "1 failed" in text
-        assert "FAILED component/fallback:off/lenet" in text
+        assert "FAILED component/xi:equal/lenet" in text
         assert "CRITICAL" in text

@@ -89,6 +89,15 @@ class TestSpanTiming:
         assert span.end is not None
 
 
+class TestBuffer:
+    def test_clear_drops_buffer(self):
+        tracer = Tracer(clock=FakeClock())
+        with tracer.span("x"):
+            pass
+        tracer.clear()
+        assert tracer.events() == []
+
+
 class TestNesting:
     def test_child_parented_to_enclosing_span(self):
         tracer = Tracer(clock=FakeClock())
@@ -152,40 +161,6 @@ class TestNesting:
         ids = [span.span_id for span in tracer.events()]
         assert len(ids) == 100
         assert len(set(ids)) == 100
-
-
-class TestAbsorb:
-    def test_worker_roots_reparented(self):
-        parent = Tracer(clock=FakeClock())
-        worker = Tracer(clock=FakeClock(), worker="pid9")
-        with parent.span("replay") as replay:
-            pass
-        with worker.span("layer"):
-            with worker.span("batch"):
-                pass
-        parent.absorb(worker.events(), parent_id=replay.span_id)
-        by_name = {s.name: s for s in parent.events()}
-        assert by_name["layer"].parent_id == replay.span_id
-        # Non-root worker spans keep their own ancestry.
-        assert by_name["batch"].parent_id == by_name["layer"].span_id
-
-    def test_ids_cannot_collide_across_workers(self):
-        parent = Tracer(clock=FakeClock())
-        worker = Tracer(clock=FakeClock(), worker="pid9")
-        with parent.span("a"):
-            pass
-        with worker.span("b"):
-            pass
-        parent.absorb(worker.events())
-        ids = [s.span_id for s in parent.events()]
-        assert len(set(ids)) == 2
-
-    def test_clear_drops_buffer(self):
-        tracer = Tracer(clock=FakeClock())
-        with tracer.span("x"):
-            pass
-        tracer.clear()
-        assert tracer.events() == []
 
 
 class TestNullTracer:
