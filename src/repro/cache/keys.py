@@ -146,7 +146,6 @@ KEY_FIELD_REGISTRY: Dict[str, Dict[str, str]] = {
     "DistributedSettings": {
         "workers": EXCLUDED_BY_CONTRACT,
         "spawn": EXCLUDED_BY_CONTRACT,
-        "max_cells": NON_NUMERIC,
     },
     # Quantized-execution runtime (packed-weight entries): weight_bits
     # changes the packed bits; backend and pack_activations cannot —

@@ -374,12 +374,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             run_dir=args.run_dir or None,
         )
     else:
-        report = run_sweep(
-            spec,
-            config=_config(args),
-            progress=False,
-            keep_going=args.keep_going,
-        )
+        report = run_sweep(spec, config=_config(args))
     for line in report.lines():
         print(line)
     if args.output:
@@ -401,7 +396,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             )
         )
         print(f"sweep results written to {path}")
-    return 0
+    return 1 if report.failed else 0
 
 
 def cmd_worker(args: argparse.Namespace) -> int:
@@ -863,7 +858,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run a (model x drop x objective) grid through one "
         "optimizer per model, sharing profiles, stats, and sigma "
         "evaluations across cells — and across runs with --cache-dir.  "
-        "Bit-identical to looping `repro optimize` per cell.  See "
+        "Bit-identical to looping `repro optimize` per cell.  A crashing "
+        "cell becomes a [FAILED] row and the rest still run (--strict "
+        "fails fast); the exit status is 1 when any cell failed.  See "
         "docs/caching.md.",
     )
     _add_common(p)
@@ -875,14 +872,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drops", default="0.01,0.05")
     p.add_argument("--objectives", default="input,mac")
     p.add_argument("--output", default="", help="write cell JSON here")
-    p.add_argument(
-        "--keep-going",
-        action="store_true",
-        help=(
-            "record a crashing cell as a structured failed row and run "
-            "the remaining cells instead of aborting the grid"
-        ),
-    )
     p.add_argument(
         "--workers",
         type=int,

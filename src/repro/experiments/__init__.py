@@ -42,10 +42,12 @@ from .distributed import (
 )
 from .export import export_csv, export_json, load_json
 from .scheduler import (
-    SweepCellFailure,
-    SweepCellResult,
+    Cell,
+    CellExecutor,
+    CellRow,
     SweepReport,
     SweepSpec,
+    run_drop_sweep,
     run_sweep,
 )
 from .ablate import (
@@ -55,7 +57,6 @@ from .ablate import (
 )
 from .fig1 import ErrorShape, Fig1Result, run_fig1
 from .suite import SUITE_EXPERIMENTS, run_suite
-from .sweeps import DropSweepPoint, DropSweepResult, run_drop_sweep
 from .fig2 import Fig2Result, LinearitySeries, run_fig2
 from .fig3 import Fig3Point, Fig3Result, run_fig3
 from .fig4 import Fig4Result, run_fig4
@@ -65,12 +66,13 @@ from .table3 import Table3Row, average_savings, run_table3, run_table3_row
 __all__ = [
     "AblationSpec",
     "AdditivityResult",
+    "Cell",
+    "CellExecutor",
+    "CellRow",
     "ChannelwiseResult",
     "ClippingResult",
     "CostComparison",
     "DistributedSettings",
-    "DropSweepPoint",
-    "DropSweepResult",
     "ErrorShape",
     "ExperimentConfig",
     "ExperimentContext",
@@ -84,8 +86,6 @@ __all__ = [
     "SUITE_EXPERIMENTS",
     "SchemeAgreementResult",
     "StabilityResult",
-    "SweepCellFailure",
-    "SweepCellResult",
     "SweepPlan",
     "SweepReport",
     "SweepSpec",

@@ -1,14 +1,17 @@
 """Ablation & scenario-robustness campaigns (``repro ablate``).
 
-A campaign is a grid of fault-isolated cells: the ablation matrix
-(baseline + one variant per toggled pipeline component, see
-:mod:`repro.robustness.matrix`) crossed with the requested models, plus
-one cell per requested scenario (:mod:`repro.robustness.scenarios`).
-Each cell runs through the incremental sweep scheduler, so shared work
-(profiles, sigma evaluations) is reused in-process and — with a cache
-directory — across cells and across runs.
+A campaign is run-matrix generation plus importance scoring.  The
+matrix (baseline + one variant per toggled pipeline component, see
+:mod:`repro.robustness.matrix`) is crossed with the requested models,
+plus one cell per requested scenario (:mod:`repro.robustness.
+scenarios`).  Those are ordinary cells of the sweep executor
+(:func:`~repro.experiments.scheduler.run_sweep`), each with its own
+context factory (:func:`build_cell_context`) and allocator; the
+executor's rows are then scored by :mod:`repro.robustness.report`.
+Shared work (profiles, sigma evaluations) is reused across cells and
+across runs through the cache directory.
 
-Fault isolation is the campaign's contract: a crashing cell (including
+Fault isolation is the executor's contract: a crashing cell (including
 injected chaos) becomes a structured ``failed`` row carrying the error
 class, the pipeline stage, and a traceback digest, and every other
 cell still runs.  ``strict`` restores fail-fast.
@@ -23,24 +26,32 @@ grid or configuration can never pick up a stale result.
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
+from ..data import SyntheticImageNet
 from ..errors import ReproError
+from ..models import pretrained_model
+from ..models.calibrate import lsuv_calibrate
+from ..models.pretrain import pretrain
+from ..pipeline import PrecisionOptimizer
 from ..robustness import (
-    CampaignCell,
-    CampaignRow,
+    MatrixVariant,
+    Scenario,
     baseline_variant,
     build_matrix,
     build_report,
-    execute_cell,
+    build_scenario_network,
+    perturb_dataset,
+    perturb_network_weights,
     resolve_scenario,
 )
 from ..robustness.report import AblationReport
 from ..telemetry.manifest import build_manifest
 from ..telemetry.session import Telemetry
-from .common import ExperimentConfig
+from .common import ExperimentConfig, ExperimentContext
+from .scheduler import Cell, run_sweep
 
 
 @dataclass(frozen=True)
@@ -59,52 +70,131 @@ class AblationSpec:
     chaos_cells: Sequence[str] = ()
 
 
+def build_cell_context(
+    config: ExperimentConfig,
+    variant: MatrixVariant,
+    scenario: Optional[Scenario] = None,
+    chaos: bool = False,
+    telemetry: Optional[Telemetry] = None,
+) -> ExperimentContext:
+    """Build one campaign cell's (perturbed, maybe chaos-wrapped) context.
+
+    Mirrors :func:`repro.experiments.common.make_context` but applies,
+    in order: the variant's config overrides, topology substitution,
+    pretraining, input/weight perturbation, chaos wrapping (a crash on
+    the first forward event), then optimizer construction.  Contexts
+    are never cached: every cell gets a fresh substrate so
+    perturbations and chaos stay isolated.
+    """
+    config = variant.apply(config)
+    source = SyntheticImageNet(
+        num_classes=config.num_classes, seed=config.seed
+    )
+    if scenario is not None and scenario.kind == "topology":
+        network = build_scenario_network(
+            scenario, num_classes=config.num_classes, seed=config.seed
+        )
+        train, test = source.train_test(
+            config.train_count, config.test_count
+        )
+        calibration = train.images[: min(32, len(train))]
+        lsuv_calibrate(network, calibration)
+        info = pretrain(network, train, test)
+    else:
+        network, train, test, info = pretrained_model(
+            config.model,
+            source=source,
+            train_count=config.train_count,
+            test_count=config.test_count,
+            seed=config.seed,
+        )
+    if scenario is not None and scenario.kind == "input":
+        test = perturb_dataset(test, scenario, seed=config.seed)
+    if scenario is not None and scenario.kind == "weights":
+        perturb_network_weights(
+            network,
+            rel_std=float(scenario.params.get("rel_std", 1e-3)),
+            seed=config.seed,
+        )
+    substrate = network
+    if chaos:
+        from ..resilience.chaos import ChaosNetwork, FaultSchedule
+
+        substrate = ChaosNetwork(
+            network, crash_schedule=FaultSchedule.once(0)
+        )
+    optimizer = PrecisionOptimizer(
+        substrate,
+        test,
+        profile_settings=config.profile_settings(),
+        search_settings=config.search_settings(),
+        scheme=config.scheme,
+        strict=config.strict,
+        parallel=config.parallel_settings(),
+        telemetry=(
+            telemetry
+            if telemetry is not None
+            else config.telemetry_settings()
+        ),
+        cache=config.resolved_cache_dir(),
+    )
+    return ExperimentContext(
+        config=config,
+        network=network,
+        train=train,
+        test=test,
+        pretrain_info=info,
+        optimizer=optimizer,
+    )
+
+
 def build_campaign_cells(
-    spec: AblationSpec, config: ExperimentConfig
-) -> List[CampaignCell]:
-    """The campaign's cell list, matrix-major then scenarios.
+    spec: AblationSpec,
+    config: ExperimentConfig,
+    telemetry: Optional[Telemetry] = None,
+) -> List[Cell]:
+    """The campaign's executor cells, matrix-major then scenarios.
 
     Cell ids are stable across runs — ``component/<variant>/<model>``
     and ``scenario/<name>/<model>`` — which is what makes chaos
-    targeting addressable.
+    targeting addressable.  Every cell's context is built by
+    :func:`build_cell_context` on the shared ``telemetry`` session.
     """
-    chaos = set(spec.chaos_cells)
-    cells: List[CampaignCell] = []
     variants = build_matrix(config, spec.components)
+    points = []  # (cell_id, kind, variant, scenario, model, drop)
     for model in spec.models:
         for variant in variants:
-            cell_id = f"component/{variant.name}/{model}"
-            cells.append(
-                CampaignCell(
-                    cell_id=cell_id,
-                    kind="component",
-                    variant=variant,
-                    scenario=None,
-                    model=model,
-                    accuracy_drop=spec.accuracy_drop,
-                    objective=spec.objective,
-                    chaos=cell_id in chaos,
-                )
-            )
+            points.append((f"component/{variant.name}/{model}", "component",
+                           variant, None, model, spec.accuracy_drop))
     for name in spec.scenarios:
         scenario = resolve_scenario(name)
         drop = float(
             scenario.params.get("accuracy_drop", spec.accuracy_drop)
         )
         for model in spec.models:
-            cell_id = f"scenario/{name}/{model}"
-            cells.append(
-                CampaignCell(
-                    cell_id=cell_id,
-                    kind="scenario",
-                    variant=baseline_variant(),
-                    scenario=scenario,
-                    model=model,
-                    accuracy_drop=drop,
-                    objective=spec.objective,
-                    chaos=cell_id in chaos,
-                )
-            )
+            points.append((f"scenario/{name}/{model}", "scenario",
+                           baseline_variant(), scenario, model, drop))
+    chaos = set(spec.chaos_cells)
+    cells = [
+        Cell(
+            model,
+            drop,
+            spec.objective,
+            cell_id=cell_id,
+            kind=kind,
+            group=scenario.name if scenario else variant.component,
+            variant=scenario.name if scenario else variant.name,
+            context_factory=partial(
+                build_cell_context,
+                variant=variant,
+                scenario=scenario,
+                chaos=cell_id in chaos,
+                telemetry=telemetry,
+            ),
+            allocator=variant.allocator,
+        )
+        for cell_id, kind, variant, scenario, model, drop in points
+    ]
     known = {cell.cell_id for cell in cells}
     unknown = sorted(chaos - known)
     if unknown:
@@ -118,7 +208,7 @@ def build_campaign_cells(
 def _campaign_manifest(
     spec: AblationSpec,
     config: ExperimentConfig,
-    cells: Sequence[CampaignCell],
+    cells: Sequence[Cell],
 ) -> Dict[str, object]:
     manifest = build_manifest(
         config={
@@ -155,89 +245,25 @@ def run_ablation_campaign(
     """
     spec = spec or AblationSpec()
     config = config or ExperimentConfig()
-    cells = build_campaign_cells(spec, config)
-    manifest = _campaign_manifest(spec, config, cells)
     telemetry = Telemetry.create(config.telemetry_settings())
-    bus = telemetry.event_bus
-    keep_going = not config.strict
-    rows: List[CampaignRow] = []
-    executed: List[str] = []
-    start = time.perf_counter()
-    bus.run_started(total_cells=len(cells), kind="ablate")
-    for cell in cells:
-        bus.cell("queued", cell.cell_id, kind=cell.kind)
-    with telemetry.tracer.span(
-        "ablate.campaign",
-        cells=len(cells),
-        models=",".join(spec.models),
-        objective=spec.objective,
-    ):
-        for cell in cells:
-            bus.cell("running", cell.cell_id)
-            with telemetry.tracer.span(
-                "ablate.cell",
-                cell_id=cell.cell_id,
-                kind=cell.kind,
-                chaos=cell.chaos,
-            ) as cell_span, telemetry.resources.measure(
-                "ablate.cell", span=cell_span
-            ):
-                row = execute_cell(
-                    cell,
-                    config,
-                    keep_going=keep_going,
-                    telemetry=telemetry,
-                )
-            telemetry.metrics.counter(
-                f"ablate_cells_{row.status}_total"
-            ).inc()
-            rows.append(row)
-            if row.resumed:
-                bus.cell("cached-hit", cell.cell_id, resumed=True)
-            else:
-                executed.append(cell.cell_id)
-            if row.status == "ok":
-                bus.cell(
-                    "done",
-                    cell.cell_id,
-                    elapsed_seconds=row.elapsed_seconds,
-                )
-            else:
-                bus.cell(
-                    "failed",
-                    cell.cell_id,
-                    elapsed_seconds=row.elapsed_seconds,
-                    error_class=(
-                        row.failure.error_class
-                        if row.failure is not None
-                        else ""
-                    ),
-                )
-            if progress:  # pragma: no cover - console nicety
-                status = "resumed" if row.resumed else row.status
-                print(
-                    f"  {cell.cell_id}: {status} "
-                    f"({row.elapsed_seconds:.2f}s)"
-                )
-    bus.run_finished(
-        cells_done=sum(1 for row in rows if row.status == "ok"),
-        cells_failed=sum(1 for row in rows if row.status != "ok"),
-    )
-    elapsed = time.perf_counter() - start
-    report = build_report(
-        rows,
-        elapsed_seconds=elapsed,
-        manifest=manifest,
-        cache_dir=config.resolved_cache_dir(),
-        executed_cell_ids=executed,
+    cells = build_campaign_cells(spec, config, telemetry)
+    manifest = _campaign_manifest(spec, config, cells)
+    sweep = run_sweep(
+        cells, config, progress=progress, telemetry=telemetry, kind="ablate"
     )
     if config.trace_out:
         telemetry.export()
-    return report
+    return build_report(
+        sweep.cells,
+        elapsed_seconds=sweep.elapsed_seconds,
+        manifest=manifest,
+        cache_dir=sweep.cache_dir,
+    )
 
 
 __all__ = [
     "AblationSpec",
     "build_campaign_cells",
+    "build_cell_context",
     "run_ablation_campaign",
 ]

@@ -39,13 +39,14 @@ no live lease.  There is no queue service and no leader — a worker that
 finishes early immediately picks up the next pending cell, and a cell
 whose lease expired is re-dispatched to whoever scans it next.
 
-**Bit-identity**: every cell executes through the existing
-:func:`~repro.experiments.scheduler.run_sweep` cell path with a
-single-cell grid, so report rows are bit-identical to the serial
-scheduler (and to the naive per-cell loop) for any worker count,
-any interleaving, and any crash/re-dispatch history.  Only
-``elapsed_seconds`` and ``worker`` attribution vary — compare rows
-with :meth:`~repro.experiments.scheduler.SweepCellResult.identity_dict`.
+**Bit-identity**: a worker runs each claimed cell through the same
+:class:`~repro.experiments.scheduler.CellExecutor` as the serial
+:func:`~repro.experiments.scheduler.run_sweep` and publishes that
+:class:`~repro.experiments.scheduler.CellRow`, so report rows are
+bit-identical to the serial sweep (and to the naive per-cell loop) for
+any worker count, any interleaving, and any crash/re-dispatch history.
+Only timing, ``resumed`` and cache traffic vary — compare rows with
+:meth:`~repro.experiments.scheduler.CellRow.identity_dict`.
 
 See ``docs/distributed.md`` for the protocol and multi-host setup.
 """
@@ -62,6 +63,7 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -75,25 +77,26 @@ from ..cache.leases import (
     steal_expired_lease,
 )
 from ..errors import ReproError, ResumeError
-from ..robustness.faults import FailureRecord, classify_failure
 from ..telemetry.events import EventBus, open_event_bus
 from ..telemetry.manifest import build_manifest
 from ..telemetry.resources import sample_resources
-from .common import ExperimentConfig
+from ..telemetry.session import Telemetry
+from .common import ExperimentConfig, make_context
 from .scheduler import (
-    SweepCellFailure,
-    SweepCellResult,
+    Cell,
+    CellExecutor,
+    CellRow,
     SweepReport,
     SweepSpec,
-    run_sweep,
     sweep_cell_id,
 )
 
 PathLike = Union[str, Path]
-Cell = Tuple[str, float, str]
+GridCell = Tuple[str, float, str]
 
-#: Bumped when the run-directory layout changes incompatibly.
-DISTRIBUTED_SCHEMA_VERSION = 1
+#: Bumped when the run-directory layout changes incompatibly (2: cells
+#: publish :meth:`~repro.experiments.scheduler.CellRow.as_dict`).
+DISTRIBUTED_SCHEMA_VERSION = 2
 
 PLAN_FILE = "sweep-plan.json"
 MANIFEST_FILE = "manifest.json"
@@ -109,8 +112,7 @@ class DistributedSettings:
 
     ``workers`` and ``spawn`` are excluded from cache keys by the
     executor's determinism contract: rows are bit-identical for any
-    worker count and spawn mechanism.  ``max_cells`` only limits how
-    many cells one worker claims, never what any cell computes.
+    worker count and spawn mechanism.
     """
 
     #: Local workers the coordinator launches (more may attach).
@@ -119,8 +121,6 @@ class DistributedSettings:
     #: path) or "thread" (in-process worker loops; used by tests and
     #: race harnesses — cells still coordinate only through files).
     spawn: str = "subprocess"
-    #: Per-worker claim budget; 0 = unlimited.
-    max_cells: int = 0
 
 
 @dataclass(frozen=True)
@@ -302,15 +302,17 @@ def load_plan(run_dir: PathLike) -> SweepPlan:
 # ----------------------------------------------------------------------
 # Cell publication
 # ----------------------------------------------------------------------
-def result_path(run_dir: PathLike, cell: Cell) -> Path:
+def result_path(run_dir: PathLike, cell: GridCell) -> Path:
     return Path(run_dir) / CELLS_DIR / (cell_slug(*cell) + ".json")
 
 
-def lease_path(run_dir: PathLike, cell: Cell) -> Path:
+def lease_path(run_dir: PathLike, cell: GridCell) -> Path:
     return Path(run_dir) / LEASES_DIR / (cell_slug(*cell) + LEASE_SUFFIX)
 
 
-def load_cell_row(run_dir: PathLike, cell: Cell) -> Optional[Dict[str, Any]]:
+def load_cell_row(
+    run_dir: PathLike, cell: GridCell
+) -> Optional[Dict[str, Any]]:
     """A published cell row, or None (missing/torn = not published)."""
     try:
         payload = json.loads(
@@ -323,55 +325,10 @@ def load_cell_row(run_dir: PathLike, cell: Cell) -> Optional[Dict[str, Any]]:
     return payload
 
 
-def _row_from_cell_result(cell: SweepCellResult) -> Dict[str, Any]:
-    row = cell.as_dict()
-    row["status"] = "ok"
-    # Not part of as_dict() but needed to reconstruct the dataclass.
-    row["target_accuracy"] = cell.target_accuracy
-    return row
-
-
-def _result_from_row(row: Dict[str, Any]) -> SweepCellResult:
-    return SweepCellResult(
-        model=str(row["model"]),
-        accuracy_drop=float(row["drop"]),
-        objective=str(row["objective"]),
-        sigma=float(row["sigma"]),
-        effective_input_bits=float(row["eff_input_bits"]),
-        effective_mac_bits=float(row["eff_mac_bits"]),
-        baseline_accuracy=float(row["baseline_accuracy"]),
-        validated_accuracy=(
-            None
-            if row.get("validated_accuracy") is None
-            else float(row["validated_accuracy"])
-        ),
-        target_accuracy=float(row["target_accuracy"]),
-        bitwidths={
-            str(k): int(v) for k, v in dict(row["bitwidths"]).items()
-        },
-        degraded=bool(row["degraded"]),
-        elapsed_seconds=float(row["elapsed_seconds"]),
-    )
-
-
-def _failure_from_row(row: Dict[str, Any]) -> SweepCellFailure:
-    return SweepCellFailure(
-        model=str(row["model"]),
-        accuracy_drop=(
-            None if row.get("drop") is None else float(row["drop"])
-        ),
-        objective=(
-            None if row.get("objective") is None else str(row["objective"])
-        ),
-        failure=FailureRecord.from_dict(row["failure"]),
-        elapsed_seconds=float(row["elapsed_seconds"]),
-    )
-
-
 # ----------------------------------------------------------------------
 # Cell execution
 # ----------------------------------------------------------------------
-def _synthetic_cell_row(plan: SweepPlan, cell: Cell) -> Dict[str, Any]:
+def _synthetic_cell_row(plan: SweepPlan, cell: Cell) -> CellRow:
     """Deterministic pseudo-result for coordination-layer benchmarks.
 
     Values are pure functions of (fingerprint, cell), so synthetic rows
@@ -380,54 +337,45 @@ def _synthetic_cell_row(plan: SweepPlan, cell: Cell) -> Dict[str, Any]:
     """
     import hashlib
 
-    model, drop, objective = cell
+    drop = cell.accuracy_drop
+    slug = cell_slug(cell.model, drop, cell.objective)
     digest = hashlib.sha256(
-        f"{plan.fingerprint}/{cell_slug(*cell)}".encode("utf-8")
+        f"{plan.fingerprint}/{slug}".encode("utf-8")
     ).hexdigest()
     unit = int(digest[:8], 16) / float(2**32)
     time.sleep(plan.synthetic_seconds)
-    return {
-        "status": "ok",
-        "model": model,
-        "drop": drop,
-        "objective": objective,
-        "sigma": round(0.05 + 0.5 * unit, 6),
-        "eff_input_bits": round(4.0 + 8.0 * unit, 6),
-        "eff_mac_bits": round(8.0 + 16.0 * unit, 6),
-        "baseline_accuracy": 1.0,
-        "validated_accuracy": round(1.0 - drop * unit, 6),
-        "target_accuracy": round(1.0 - drop, 6),
-        "meets_constraint": True,
-        "bitwidths": {"synthetic": 8},
-        "degraded": False,
-        "elapsed_seconds": plan.synthetic_seconds,
-    }
+    return cell.row(
+        sigma=round(0.05 + 0.5 * unit, 6),
+        effective_input_bits=round(4.0 + 8.0 * unit, 6),
+        effective_mac_bits=round(8.0 + 16.0 * unit, 6),
+        baseline_accuracy=1.0,
+        validated_accuracy=round(1.0 - drop * unit, 6),
+        target_accuracy=round(1.0 - drop, 6),
+        bitwidths={"synthetic": 8},
+        degraded=False,
+    )
 
 
-def execute_cell(plan: SweepPlan, cell: Cell) -> Dict[str, Any]:
-    """One cell through the existing ``run_sweep`` cell path.
+def cell_executor(
+    plan: SweepPlan, telemetry: Optional[Telemetry] = None
+) -> CellExecutor:
+    """The executor a worker runs its claimed cells through.
 
     The worker-local config strips run-level observability: the run
-    directory owns the event lifecycle, and cell-granular resume comes from published
-    results plus the shared content-addressed store.
+    directory owns the event lifecycle.  Each worker builds its own
+    contexts, so a cell's cache counters are its own traffic even when
+    thread workers share a process.
     """
-    if plan.synthetic_seconds > 0:
-        return _synthetic_cell_row(plan, cell)
-    model, drop, objective = cell
-    spec = SweepSpec(
-        models=(model,), accuracy_drops=(drop,), objectives=(objective,)
-    )
     config = replace(plan.config, events_dir="", trace_out="")
-    report = run_sweep(spec, config, keep_going=True)
-    if report.cells:
-        row = _row_from_cell_result(report.cells[0])
-    else:
-        failure = report.failures[0]
-        row = failure.as_dict()
-        row["failure"] = failure.failure.as_dict()
-    row["cache_hits"] = report.cache_counters.get("hits", 0)
-    row["cache_misses"] = report.cache_counters.get("misses", 0)
-    return row
+    compute = None
+    if plan.synthetic_seconds > 0:
+        compute = partial(_synthetic_cell_row, plan)
+    return CellExecutor(
+        config,
+        telemetry or Telemetry(),
+        make=partial(make_context, use_cache=False),
+        compute=compute,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -474,7 +422,7 @@ def _claim_one(
     worker_id: str,
     settings: LeaseSettings,
     report: WorkerReport,
-) -> Tuple[Optional[Cell], Optional[Any], bool]:
+) -> Tuple[Optional[GridCell], Optional[Any], bool]:
     """Scan for the first claimable cell.
 
     Returns ``(cell, lease, pending_elsewhere)``; ``cell`` is None when
@@ -514,18 +462,24 @@ def run_worker(
     """Attach one work-stealing worker to a run directory.
 
     Claims pending cells one at a time (grid order, earliest first),
-    executes each through the scheduler cell path under a heartbeating
-    lease, publishes the row atomically, and exits when every cell of
-    the plan has a published result (or ``max_cells`` was reached).
-    Safe to run any number of these concurrently, on any host that
-    shares the run directory.
+    runs each through the cell executor under a heartbeating lease,
+    publishes the row atomically, and exits when every cell of the
+    plan has a published result (or ``max_cells`` was reached).  A
+    failing cell publishes its ``failed`` row, so a deterministically
+    crashing cell is not re-dispatched forever.  Safe to run any
+    number of these concurrently, on any host that shares the run
+    directory.
     """
     run_path = Path(run_dir)
     plan = load_plan(run_path)
     settings = settings or LeaseSettings()
     worker_id = worker_id or default_worker_id()
     report = WorkerReport(worker_id=worker_id)
-    bus = EventBus(run_path / f"events-{worker_id}.jsonl")
+    telemetry = Telemetry()
+    telemetry.event_bus = bus = EventBus(
+        run_path / f"events-{worker_id}.jsonl"
+    )
+    executor = cell_executor(plan, telemetry)
     start = time.perf_counter()
     bus.run_started(total_cells=0, kind="worker", worker=worker_id)
     try:
@@ -538,54 +492,14 @@ def run_worker(
                     break  # every cell is published
                 time.sleep(settings.poll_seconds)
                 continue
-            cell_id = sweep_cell_id(*cell)
             report.cells_claimed += 1
-            bus.cell("running", cell_id, worker=worker_id)
-            cell_start = time.perf_counter()
-            try:
-                with LeaseHeartbeat(lease, settings):
-                    row = execute_cell(plan, cell)
-            # Fault isolation: any crash becomes a published failed row
-            # so a deterministically-crashing cell is not re-dispatched
-            # forever.
-            except Exception as exc:  # repro-check: ignore[overbroad-except]
-                failure = classify_failure(exc)
-                row = {
-                    "status": "failed",
-                    "model": cell[0],
-                    "drop": cell[1],
-                    "objective": cell[2],
-                    "failure": failure.as_dict(),
-                }
-                row.update(failure.as_dict())
-            row["elapsed_seconds"] = time.perf_counter() - cell_start
-            row["worker"] = worker_id
-            _atomic_write_json(result_path(run_path, cell), row)
+            with LeaseHeartbeat(lease, settings):
+                row = executor.run(Cell(*cell))
+            _atomic_write_json(result_path(run_path, cell), row.as_dict())
             lease.release()
             report.cells_published += 1
-            if row.get("status") == "failed":
-                bus.cell(
-                    "failed",
-                    cell_id,
-                    worker=worker_id,
-                    error_class=row["failure"]["error_class"],
-                )
-            else:
-                if row.get("cache_hits", 0) and not row.get(
-                    "cache_misses", 0
-                ):
-                    bus.cell("cached-hit", cell_id)
-                bus.cell(
-                    "done",
-                    cell_id,
-                    worker=worker_id,
-                    elapsed_seconds=row["elapsed_seconds"],
-                    cache_hits=int(row.get("cache_hits", 0)),
-                    cache_misses=int(row.get("cache_misses", 0)),
-                    peak_rss_bytes=sample_resources().peak_rss_bytes,
-                )
             if progress:  # pragma: no cover - console nicety
-                print(f"  [{worker_id}] {cell_id} published")
+                print(f"  [{worker_id}] {row.cell_id} published")
             if max_cells and report.cells_claimed >= max_cells:
                 break
     finally:
@@ -641,24 +555,14 @@ def collect_report(
     """
     run_path = Path(run_dir)
     plan = plan or load_plan(run_path)
-    report = SweepReport(
-        cache_dir=plan.config.resolved_cache_dir()
-    )
-    totals: Dict[str, int] = {}
+    report = SweepReport(cache_dir=plan.config.resolved_cache_dir())
     missing: List[str] = []
     for cell in plan.spec.cells():
         row = load_cell_row(run_path, cell)
         if row is None:
             missing.append(sweep_cell_id(*cell))
             continue
-        if row.get("status") == "failed":
-            report.failures.append(_failure_from_row(row))
-        else:
-            report.cells.append(_result_from_row(row))
-            for key in ("hits", "misses"):
-                totals[key] = totals.get(key, 0) + int(
-                    row.get(f"cache_{key}", 0)
-                )
+        report.cells.append(CellRow.from_dict(row))
     if missing:
         raise ReproError(
             f"distributed sweep incomplete: {len(missing)} cells have "
@@ -666,7 +570,6 @@ def collect_report(
             + ("..." if len(missing) > 4 else "")
             + "); attach more workers or re-run to finish"
         )
-    report.cache_counters = totals
     return report
 
 
@@ -775,11 +678,7 @@ def run_sweep_distributed(
                     threading.Thread(
                         target=run_worker,
                         args=(run_path,),
-                        kwargs={
-                            "worker_id": wid,
-                            "settings": lease,
-                            "max_cells": distribution.max_cells,
-                        },
+                        kwargs={"worker_id": wid, "settings": lease},
                         name=f"repro-worker-{wid}",
                     )
                     for wid in worker_ids
@@ -830,8 +729,8 @@ __all__ = [
     "WorkerReport",
     "cell_slug",
     "collect_report",
+    "cell_executor",
     "default_worker_id",
-    "execute_cell",
     "lease_path",
     "load_cell_row",
     "load_plan",

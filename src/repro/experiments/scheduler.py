@@ -1,20 +1,28 @@
-"""Incremental sweep scheduler: Table-III-style grids without rework.
+"""The cell executor: every grid, worker, campaign and drop sweep.
 
-A sweep is a grid of cells ``(model, accuracy_drop, objective)``.  Run
+A sweep is a list of cells ``(model, accuracy_drop, objective)``.  Run
 naively — one fresh pipeline per cell — most of the work is repeated:
 every cell of a model re-profiles the same lambda/theta, re-measures
 the same baseline accuracy, and re-probes the same doubling-phase
-sigmas.  The scheduler removes that rework on two levels:
+sigmas.  The executor removes that rework on two levels:
 
-* **In-process sharing**: cells are grouped by model and executed
-  against *one* :class:`~repro.pipeline.PrecisionOptimizer`, whose
-  profile report, layer stats, baseline accuracy, and sigma-evaluator
-  memos are shared across every drop and objective of that model.
+* **In-process sharing**: consecutive cells of one context (model-major
+  grids) run against *one* :class:`~repro.pipeline.PrecisionOptimizer`,
+  whose profile report, layer stats, baseline accuracy, and
+  sigma-evaluator memos are shared across every drop and objective.
 * **Persistent sharing** (``cache_dir``): all cache-aware surfaces read
   and write the content-addressed store (:mod:`repro.cache`), so a
   re-run — or a sweep extended by one new grid point — only computes
   what no earlier run has proven.  An interrupted sweep loses at most
   the cell in flight.
+
+:class:`CellExecutor` runs one cell: it classifies failures, emits the
+cell lifecycle on the event bus, and measures the cell's cache traffic
+as a delta.  :func:`run_sweep` loops it over a cell list; distributed
+workers (:mod:`~repro.experiments.distributed`) call it per claimed
+cell, and ablation campaigns (:mod:`~repro.experiments.ablate`) hand
+it their matrix as cells with their own context factories.  Every
+caller gets the same :class:`CellRow`.
 
 Results are bit-identical to the naive loop: nothing here changes the
 math, only when it runs.
@@ -23,14 +31,23 @@ math, only when it runs.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from dataclasses import dataclass, field, fields, replace
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from ..errors import ReproError
 from ..optimize import input_bandwidth_objective, mac_energy_objective
 from ..robustness.faults import FailureRecord, classify_failure
-from ..telemetry.events import open_event_bus
 from ..telemetry.resources import sample_resources
+from ..telemetry.session import Telemetry
 from .common import ExperimentConfig, ExperimentContext, make_context
 
 
@@ -63,154 +80,213 @@ class SweepSpec:
         )
 
 
-@dataclass
-class SweepCellResult:
-    """One finished grid cell."""
-
-    model: str
-    accuracy_drop: float
-    objective: str
-    sigma: float
-    effective_input_bits: float
-    effective_mac_bits: float
-    baseline_accuracy: float
-    validated_accuracy: Optional[float]
-    target_accuracy: float
-    bitwidths: Dict[str, int]
-    degraded: bool
-    elapsed_seconds: float
-    #: True when the whole outcome came back from the persistent cache.
-    #: Like the timing, it describes this run, not the result, so it
-    #: stays out of :meth:`as_dict`.
-    restored: bool = False
-
-    @property
-    def meets_constraint(self) -> Optional[bool]:
-        if self.validated_accuracy is None:
-            return None
-        return self.validated_accuracy >= self.target_accuracy
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "model": self.model,
-            "drop": self.accuracy_drop,
-            "objective": self.objective,
-            "sigma": self.sigma,
-            "eff_input_bits": self.effective_input_bits,
-            "eff_mac_bits": self.effective_mac_bits,
-            "baseline_accuracy": self.baseline_accuracy,
-            "validated_accuracy": self.validated_accuracy,
-            "meets_constraint": self.meets_constraint,
-            "bitwidths": self.bitwidths,
-            "degraded": self.degraded,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
-
-    def identity_dict(self) -> Dict[str, object]:
-        """The row minus wall-clock timing: the bit-identity surface.
-
-        Two cells computed from the same inputs must agree on exactly
-        this dict — across serial vs distributed execution, any worker
-        count, and any crash/re-dispatch history.  Only
-        ``elapsed_seconds`` legitimately differs between runs.
-        """
-        row = self.as_dict()
-        del row["elapsed_seconds"]
-        return row
-
-
-@dataclass
-class SweepCellFailure:
-    """One grid cell that raised instead of finishing (``keep_going``)."""
-
-    model: str
-    accuracy_drop: Optional[float]
-    objective: Optional[str]
-    failure: FailureRecord
-    elapsed_seconds: float
-
-    def as_dict(self) -> Dict[str, object]:
-        row: Dict[str, object] = {
-            "model": self.model,
-            "drop": self.accuracy_drop,
-            "objective": self.objective,
-            "status": "failed",
-            "elapsed_seconds": self.elapsed_seconds,
-        }
-        row.update(self.failure.as_dict())
-        return row
-
-
-@dataclass
-class SweepReport:
-    """Every cell of a finished sweep plus shared-work accounting."""
-
-    cells: List[SweepCellResult] = field(default_factory=list)
-    #: Cells that raised, recorded instead of aborting the grid
-    #: (only populated when ``run_sweep(..., keep_going=True)``).
-    failures: List[SweepCellFailure] = field(default_factory=list)
-    elapsed_seconds: float = 0.0
-    #: Persistent-cache counters summed over every model's optimizer
-    #: (zeros when the sweep ran without a cache directory).
-    cache_counters: Dict[str, int] = field(default_factory=dict)
-    cache_dir: Optional[str] = None
-
-    def rows(self) -> List[Dict[str, object]]:
-        return [cell.as_dict() for cell in self.cells]
-
-    def failure_rows(self) -> List[Dict[str, object]]:
-        return [failure.as_dict() for failure in self.failures]
-
-    def lines(self) -> List[str]:
-        out = []
-        for cell in self.cells:
-            status = {True: "ok", False: "MISS", None: "-"}[
-                cell.meets_constraint
-            ]
-            out.append(
-                f"{cell.model:<12} drop={cell.accuracy_drop:<6.3g} "
-                f"{cell.objective:<6} eff_in={cell.effective_input_bits:6.2f} "
-                f"eff_mac={cell.effective_mac_bits:6.2f} "
-                f"[{status}] {cell.elapsed_seconds:6.2f}s"
-            )
-        for failure in self.failures:
-            out.append(
-                f"{failure.model:<12} drop={failure.accuracy_drop!s:<6} "
-                f"{str(failure.objective):<6} [FAILED] "
-                f"{failure.failure.error_class} at {failure.failure.stage} "
-                f"({failure.failure.traceback_digest})"
-            )
-        hits = self.cache_counters.get("hits", 0)
-        misses = self.cache_counters.get("misses", 0)
-        failed = f", {len(self.failures)} failed" if self.failures else ""
-        out.append(
-            f"{len(self.cells)} cells in {self.elapsed_seconds:.2f}s"
-            f"{failed}; cache: {hits} hits / {misses} misses"
-            + (f" ({self.cache_dir})" if self.cache_dir else " (off)")
-        )
-        return out
-
-
-#: Builds the per-model context a sweep runs against; the default is
-#: :func:`~repro.experiments.common.make_context`.  The ablation runner
-#: substitutes factories that perturb the substrate or override
-#: optimizer construction (see :mod:`repro.robustness.runner`).
+#: Builds the context a cell runs against from the run configuration
+#: (with the cell's model set); the default is
+#: :func:`~repro.experiments.common.make_context`.  Campaign cells
+#: supply factories that perturb the substrate or wrap it in chaos.
 ContextFactory = Callable[[ExperimentConfig], ExperimentContext]
-
-#: Executes one cell against a ready optimizer; the default calls
-#: ``optimizer.optimize(objective, accuracy_drop=drop)``.  Variants can
-#: substitute e.g. the equal-xi allocator while reusing the grid loop,
-#: fault isolation, and reporting.
-OptimizeFn = Callable[[object, str, float], object]
-
-
-def _default_optimize(optimizer: Any, objective: str, drop: float) -> Any:
-    return optimizer.optimize(objective, accuracy_drop=drop)
 
 
 def sweep_cell_id(model: str, drop: float, objective: str) -> str:
     """The canonical event-bus name of one grid cell."""
     return f"{model}/drop={drop:g}/{objective}"
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One executable point: (model, drop, objective) and how to run it."""
+
+    model: str
+    accuracy_drop: float
+    objective: str
+    #: Report and event-bus name; defaults to :func:`sweep_cell_id`.
+    cell_id: str = ""
+    #: "sweep" for grid cells; campaigns use "component"/"scenario".
+    kind: str = "sweep"
+    #: Campaign labels: the toggled component or scenario name ("" for
+    #: the baseline and for grid cells), and the variant name.
+    group: str = ""
+    variant: str = ""
+    #: None runs the cell against the executor's default context.
+    context_factory: Optional[ContextFactory] = None
+    #: "optimized" (the Eq. 8 xi solve) or "equal" (equal-share xi).
+    allocator: str = "optimized"
+
+    def __post_init__(self) -> None:
+        if not self.cell_id:
+            object.__setattr__(
+                self,
+                "cell_id",
+                sweep_cell_id(self.model, self.accuracy_drop, self.objective),
+            )
+
+    def row(self, status: str = "ok", **values: Any) -> "CellRow":
+        """A row labelled with this cell's identity."""
+        return CellRow(
+            cell_id=self.cell_id,
+            kind=self.kind,
+            group=self.group,
+            variant=self.variant,
+            model=self.model,
+            accuracy_drop=self.accuracy_drop,
+            objective=self.objective,
+            status=status,
+            **values,
+        )
+
+
+@dataclass
+class CellRow:
+    """The recorded outcome of one cell — ``ok`` or structured ``failed``."""
+
+    cell_id: str
+    kind: str
+    group: str
+    variant: str
+    model: str
+    accuracy_drop: float
+    objective: str
+    status: str
+    elapsed_seconds: float = 0.0
+    #: True when the cell's whole outcome was restored from the
+    #: persistent cache instead of being recomputed.
+    resumed: bool = False
+    sigma: Optional[float] = None
+    effective_input_bits: Optional[float] = None
+    effective_mac_bits: Optional[float] = None
+    baseline_accuracy: Optional[float] = None
+    validated_accuracy: Optional[float] = None
+    target_accuracy: Optional[float] = None
+    degraded: Optional[bool] = None
+    bitwidths: Optional[Dict[str, int]] = None
+    failure: Optional[FailureRecord] = None
+    #: This cell's persistent-cache traffic (counter deltas; empty
+    #: without a cache directory).
+    cache_counters: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def meets_constraint(self) -> Optional[bool]:
+        if self.validated_accuracy is None or self.target_accuracy is None:
+            return None
+        return self.validated_accuracy >= self.target_accuracy
+
+    def as_dict(self) -> Dict[str, Any]:
+        return {
+            "cell_id": self.cell_id,
+            "kind": self.kind,
+            "group": self.group,
+            "variant": self.variant,
+            "model": self.model,
+            "accuracy_drop": self.accuracy_drop,
+            "objective": self.objective,
+            "status": self.status,
+            "elapsed_seconds": self.elapsed_seconds,
+            "resumed": self.resumed,
+            "sigma": self.sigma,
+            "effective_input_bits": self.effective_input_bits,
+            "effective_mac_bits": self.effective_mac_bits,
+            "baseline_accuracy": self.baseline_accuracy,
+            "validated_accuracy": self.validated_accuracy,
+            "target_accuracy": self.target_accuracy,
+            "meets_constraint": self.meets_constraint,
+            "degraded": self.degraded,
+            "bitwidths": self.bitwidths,
+            "cache_counters": dict(self.cache_counters),
+            "failure": (
+                None if self.failure is None else self.failure.as_dict()
+            ),
+        }
+
+    @classmethod
+    def from_dict(cls, payload: Dict[str, Any]) -> "CellRow":
+        """Inverse of :meth:`as_dict` (derived keys are ignored)."""
+        known = {f.name for f in fields(cls)}
+        values = {k: v for k, v in payload.items() if k in known}
+        if values.get("failure") is not None:
+            values["failure"] = FailureRecord.from_dict(values["failure"])
+        return cls(**values)
+
+    def identity_dict(self) -> Dict[str, Any]:
+        """The row minus what describes the run, not the result.
+
+        Two cells computed from the same inputs must agree on exactly
+        this dict — across serial vs distributed execution, any worker
+        count, cold or warm cache, and any crash/re-dispatch history.
+        """
+        row = self.as_dict()
+        for volatile in ("elapsed_seconds", "resumed", "cache_counters"):
+            del row[volatile]
+        return row
+
+
+@dataclass
+class SweepReport:
+    """Every row of a finished sweep plus shared-work accounting."""
+
+    cells: List[CellRow] = field(default_factory=list)
+    elapsed_seconds: float = 0.0
+    cache_dir: Optional[str] = None
+
+    @property
+    def failed(self) -> List[CellRow]:
+        return [row for row in self.cells if row.status == "failed"]
+
+    @property
+    def cache_counters(self) -> Dict[str, int]:
+        """Persistent-cache counters summed over the cells' deltas."""
+        totals: Dict[str, int] = {}
+        for row in self.cells:
+            for key, value in row.cache_counters.items():
+                totals[key] = totals.get(key, 0) + value
+        return totals
+
+    def rows(self) -> List[Dict[str, Any]]:
+        return [row.as_dict() for row in self.cells]
+
+    def lines(self) -> List[str]:
+        out = []
+        for row in self.cells:
+            head = (
+                f"{row.model:<12} drop={row.accuracy_drop:<6.3g} "
+                f"{row.objective:<6} "
+            )
+            if row.failure is not None:
+                out.append(
+                    head + f"[FAILED] {row.failure.error_class} at "
+                    f"{row.failure.stage} ({row.failure.traceback_digest})"
+                )
+                continue
+            status = {True: "ok", False: "MISS", None: "-"}[
+                row.meets_constraint
+            ]
+            out.append(
+                head + f"eff_in={row.effective_input_bits:6.2f} "
+                f"eff_mac={row.effective_mac_bits:6.2f} "
+                f"[{status}] {row.elapsed_seconds:6.2f}s"
+                + (" resumed" if row.resumed else "")
+            )
+        out.append(summary_line(self.cells, self.elapsed_seconds,
+                                self.cache_counters, self.cache_dir))
+        return out
+
+
+def summary_line(
+    rows: Sequence[CellRow],
+    elapsed_seconds: float,
+    cache_counters: Dict[str, int],
+    cache_dir: Optional[str],
+) -> str:
+    """The closing line of a sweep or campaign report."""
+    failed = sum(1 for row in rows if row.status == "failed")
+    resumed = sum(1 for row in rows if row.resumed)
+    return (
+        f"{len(rows)} cells in {elapsed_seconds:.2f}s"
+        + (f", {failed} failed" if failed else "")
+        + (f", {resumed} resumed" if resumed else "")
+        + f"; cache: {cache_counters.get('hits', 0)} hits / "
+        f"{cache_counters.get('misses', 0)} misses"
+        + (f" ({cache_dir})" if cache_dir else " (off)")
+    )
 
 
 def _cache_counts(optimizer: Any) -> Dict[str, int]:
@@ -229,15 +305,134 @@ def _restored_total(optimizer: Any) -> int:
     )
 
 
+class CellExecutor:
+    """Runs cells one at a time; the only cell loop body in the package.
+
+    It keeps the context of the last cell, so consecutive cells of one
+    model share profiles and sigma memos.  A failing cell becomes a
+    ``failed`` row carrying a classified
+    :class:`~repro.robustness.faults.FailureRecord`; ``config.strict``
+    re-raises instead.  ``make`` builds the context of cells without a
+    factory of their own; ``compute`` replaces the optimizer call (the
+    distributed executor's synthetic benchmark cells use it).
+    """
+
+    def __init__(
+        self,
+        config: ExperimentConfig,
+        telemetry: Telemetry,
+        make: ContextFactory = make_context,
+        compute: Optional[Callable[[Cell], CellRow]] = None,
+    ) -> None:
+        self.config = config
+        self.telemetry = telemetry
+        self.make = make
+        self.compute = compute or self._optimize
+        self._key: Any = None
+        self._context: Optional[ExperimentContext] = None
+        #: (optimizer, cache counts, restored count) before the cell.
+        self._before: Optional[tuple] = None
+
+    def _context_for(self, cell: Cell) -> ExperimentContext:
+        factory = cell.context_factory or self.make
+        if (factory, cell.model) != self._key:
+            self._key, self._context = None, None
+            self._context = factory(replace(self.config, model=cell.model))
+            self._key = (factory, cell.model)
+        return self._context
+
+    def _optimize(self, cell: Cell) -> CellRow:
+        optimizer = self._context_for(cell).optimizer
+        self._before = (
+            optimizer,
+            _cache_counts(optimizer),
+            _restored_total(optimizer),
+        )
+        stats = optimizer.stats()
+        if cell.allocator == "equal":
+            outcome = optimizer.equal_scheme(accuracy_drop=cell.accuracy_drop)
+        else:
+            outcome = optimizer.optimize(
+                cell.objective, accuracy_drop=cell.accuracy_drop
+            )
+        allocation = outcome.result.allocation
+        return cell.row(
+            sigma=outcome.result.sigma,
+            effective_input_bits=allocation.effective_bitwidth(
+                input_bandwidth_objective(stats).rho
+            ),
+            effective_mac_bits=allocation.effective_bitwidth(
+                mac_energy_objective(stats).rho
+            ),
+            baseline_accuracy=outcome.baseline_accuracy,
+            validated_accuracy=outcome.validated_accuracy,
+            target_accuracy=outcome.sigma_result.target_accuracy,
+            degraded=outcome.degraded,
+            bitwidths=dict(outcome.bitwidths),
+        )
+
+    def run(self, cell: Cell) -> CellRow:
+        """Execute one cell and emit its running/done/failed lifecycle."""
+        bus = self.telemetry.event_bus
+        bus.cell("running", cell.cell_id)
+        self._before = None
+        start = time.perf_counter()
+        with self.telemetry.tracer.span(
+            "sweep.cell", cell_id=cell.cell_id, kind=cell.kind
+        ) as span, self.telemetry.resources.measure("sweep.cell", span=span):
+            try:
+                row = self.compute(cell)
+            # Fault isolation: a crashing cell becomes a failed row and
+            # the rest of the grid still runs.
+            except Exception as exc:  # repro-check: ignore[overbroad-except]
+                if self.config.strict:
+                    raise
+                # No optimizer yet: the context could not be built.
+                hint = "context" if self._before is None else ""
+                row = cell.row(
+                    "failed", failure=classify_failure(exc, stage_hint=hint)
+                )
+        row.elapsed_seconds = time.perf_counter() - start
+        if self._before is not None:
+            optimizer, counts, restored = self._before
+            after = _cache_counts(optimizer)
+            row.cache_counters = {
+                key: value - counts.get(key, 0)
+                for key, value in after.items()
+            }
+            row.resumed = _restored_total(optimizer) > restored
+        self.telemetry.metrics.counter(f"sweep_cells_{row.status}_total").inc()
+        if row.resumed:
+            bus.cell("cached-hit", cell.cell_id, resumed=True)
+        if row.failure is not None:
+            bus.cell(
+                "failed",
+                cell.cell_id,
+                elapsed_seconds=row.elapsed_seconds,
+                stage=row.failure.stage,
+                error_class=row.failure.error_class,
+            )
+        elif bus.enabled:
+            bus.cell(
+                "done",
+                cell.cell_id,
+                elapsed_seconds=row.elapsed_seconds,
+                cache_hits=row.cache_counters.get("hits", 0),
+                cache_misses=row.cache_counters.get("misses", 0),
+                degraded=bool(row.degraded),
+                peak_rss_bytes=sample_resources().peak_rss_bytes,
+            )
+        return row
+
+
 def run_sweep(
-    spec: Optional[SweepSpec] = None,
+    cells: Union[SweepSpec, Sequence[Cell], None] = None,
     config: Optional[ExperimentConfig] = None,
     progress: bool = False,
-    keep_going: bool = False,
-    context_factory: Optional[ContextFactory] = None,
-    optimize_fn: Optional[OptimizeFn] = None,
+    telemetry: Optional[Telemetry] = None,
+    kind: str = "sweep",
 ) -> SweepReport:
-    """Execute a sweep grid with cross-cell work sharing.
+    """Execute cells in order with cross-cell work sharing.
 
     Equivalent to calling ``optimizer.optimize(objective, drop)`` for
     every cell — the report's numbers are bit-identical to the naive
@@ -245,139 +440,70 @@ def run_sweep(
     sigma evaluations are computed at most once per model, and at most
     once *ever* when a persistent cache directory is configured.
 
-    With ``keep_going`` a raising cell no longer aborts the grid: the
-    failure is classified (:func:`repro.robustness.classify_failure`)
-    and recorded in :attr:`SweepReport.failures`, and the remaining
-    cells run to completion.  A failure while *building a model's
-    context* records one failed row per cell of that model.  The
-    default (``keep_going=False``) keeps the historical fail-fast
-    behaviour.
+    A failing cell becomes a ``failed`` row and the remaining cells
+    still run; ``config.strict`` fails fast instead.  ``telemetry``
+    is the session whose tracer, metrics and event bus the run uses
+    (default: one built from ``config``); ``kind`` labels the run on
+    the bus.
     """
-    spec = spec or SweepSpec()
     config = config or ExperimentConfig()
-    if spec.num_cells == 0:
-        raise ReproError("sweep spec has no cells")
-    make = context_factory or make_context
-    optimize = optimize_fn or _default_optimize
+    if cells is None or isinstance(cells, SweepSpec):
+        cells = [Cell(*cell) for cell in (cells or SweepSpec()).cells()]
+    if not cells:
+        raise ReproError("sweep has no cells")
+    session = Telemetry.create(
+        telemetry if telemetry is not None else config.telemetry_settings()
+    )
+    executor = CellExecutor(config, session)
+    bus = session.event_bus
     report = SweepReport(cache_dir=config.resolved_cache_dir())
-    totals: Dict[str, int] = {}
-    bus = open_event_bus(config.events_dir)
     start = time.perf_counter()
-    bus.run_started(total_cells=spec.num_cells, kind="sweep")
-    for model, drop, objective in spec.cells():
-        bus.cell("queued", sweep_cell_id(model, drop, objective))
+    bus.run_started(total_cells=len(cells), kind=kind)
+    for cell in cells:
+        bus.cell("queued", cell.cell_id, kind=cell.kind)
     try:
-        for model in spec.models:
-            model_start = time.perf_counter()
-            try:
-                context = make(replace(config, model=model))
-                optimizer = context.optimizer
-                stats = optimizer.stats()
-                rho_in = input_bandwidth_objective(stats).rho
-                rho_mac = mac_energy_objective(stats).rho
-            except Exception as exc:
-                if not keep_going:
-                    raise
-                elapsed = time.perf_counter() - model_start
-                failure = classify_failure(exc, stage_hint="context")
-                for cell_model, drop, objective in spec.cells():
-                    if cell_model != model:
-                        continue
-                    report.failures.append(
-                        SweepCellFailure(
-                            model=model,
-                            accuracy_drop=drop,
-                            objective=objective,
-                            failure=failure,
-                            elapsed_seconds=elapsed,
-                        )
-                    )
-                    bus.cell(
-                        "failed",
-                        sweep_cell_id(model, drop, objective),
-                        stage="context",
-                        error_class=failure.error_class,
-                    )
-                    elapsed = 0.0  # charge the build once, to the first cell
-                continue
-            for cell_model, drop, objective in spec.cells():
-                if cell_model != model:
-                    continue
-                cell_id = sweep_cell_id(model, drop, objective)
-                cache_before = _cache_counts(optimizer)
-                restored_before = _restored_total(optimizer)
-                bus.cell("running", cell_id)
-                cell_start = time.perf_counter()
-                try:
-                    outcome = optimize(optimizer, objective, drop)
-                except Exception as exc:
-                    if not keep_going:
-                        raise
-                    failure = classify_failure(exc)
-                    report.failures.append(
-                        SweepCellFailure(
-                            model=model,
-                            accuracy_drop=drop,
-                            objective=objective,
-                            failure=failure,
-                            elapsed_seconds=time.perf_counter() - cell_start,
-                        )
-                    )
-                    bus.cell(
-                        "failed",
-                        cell_id,
-                        stage=failure.stage,
-                        error_class=failure.error_class,
-                    )
-                    continue
-                cell_elapsed = time.perf_counter() - cell_start
-                cache_after = _cache_counts(optimizer)
-                cache_hits = cache_after.get("hits", 0) - cache_before.get(
-                    "hits", 0
-                )
-                cache_misses = cache_after.get(
-                    "misses", 0
-                ) - cache_before.get("misses", 0)
-                restored = _restored_total(optimizer) > restored_before
-                if restored:
-                    bus.cell("cached-hit", cell_id)
-                allocation = outcome.result.allocation
-                cell = SweepCellResult(
-                    model=model,
-                    accuracy_drop=drop,
-                    objective=objective,
-                    sigma=outcome.result.sigma,
-                    effective_input_bits=allocation.effective_bitwidth(rho_in),
-                    effective_mac_bits=allocation.effective_bitwidth(rho_mac),
-                    baseline_accuracy=outcome.baseline_accuracy,
-                    validated_accuracy=outcome.validated_accuracy,
-                    target_accuracy=outcome.sigma_result.target_accuracy,
-                    bitwidths=outcome.bitwidths,
-                    degraded=outcome.degraded,
-                    elapsed_seconds=cell_elapsed,
-                    restored=restored,
-                )
-                report.cells.append(cell)
-                if bus.enabled:
-                    bus.cell(
-                        "done",
-                        cell_id,
-                        elapsed_seconds=cell_elapsed,
-                        cache_hits=cache_hits,
-                        cache_misses=cache_misses,
-                        degraded=bool(outcome.degraded),
-                        peak_rss_bytes=sample_resources().peak_rss_bytes,
-                    )
+        with session.tracer.span("sweep.run", kind=kind, cells=len(cells)):
+            for cell in cells:
+                row = executor.run(cell)
+                report.cells.append(row)
                 if progress:  # pragma: no cover - console nicety
-                    print("  " + report.lines()[len(report.cells) - 1])
-            if optimizer.cache is not None:
-                for key, value in optimizer.cache.counters.as_dict().items():
-                    totals[key] = totals.get(key, 0) + value
+                    status = "resumed" if row.resumed else row.status
+                    print(
+                        f"  {row.cell_id}: {status} "
+                        f"({row.elapsed_seconds:.2f}s)"
+                    )
     finally:
+        failed = len(report.failed)
         bus.run_finished(
-            cells_done=len(report.cells), cells_failed=len(report.failures)
+            cells_done=len(report.cells) - failed, cells_failed=failed
         )
         bus.close()
     report.elapsed_seconds = time.perf_counter() - start
-    report.cache_counters = totals
     return report
+
+
+def run_drop_sweep(
+    config: Optional[ExperimentConfig] = None,
+    objective: str = "input",
+    accuracy_drops: Sequence[float] = (0.005, 0.01, 0.02, 0.05, 0.10),
+    context: Optional[ExperimentContext] = None,
+) -> SweepReport:
+    """Trace one network's bits-vs-accuracy-drop curve.
+
+    Table III samples two accuracy constraints (1%, 5%); the method's
+    real product is the whole curve — how the effective bitwidth falls
+    as the constraint relaxes.  It is a one-model grid in increasing
+    drop order, so each extra point costs one sigma search plus one
+    optimization on the shared profiles.
+    """
+    context = context or make_context(config)
+
+    def given(_: ExperimentConfig) -> ExperimentContext:
+        return context
+
+    cells = [
+        Cell(context.config.model, float(drop), objective,
+             context_factory=given)
+        for drop in sorted(accuracy_drops)
+    ]
+    return run_sweep(cells, context.config)

@@ -19,7 +19,7 @@ from ..nn.statistics import LayerStats
 from ..quant.allocation import BitwidthAllocation
 from ..telemetry.session import Telemetry
 from .eq8 import XiSolution, equal_xi, optimize_xi
-from .objective import Objective, resolve_objective
+from .objective import Objective, equal_objective, resolve_objective
 
 
 @dataclass
@@ -118,6 +118,6 @@ def allocate_equal_scheme(
         xi=xi,
         deltas=deltas,
         sigma=sigma,
-        objective=Objective("equal", {name: 1.0 for name in names}),
+        objective=equal_objective(names),
         solution=None,
     )

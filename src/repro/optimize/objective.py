@@ -16,7 +16,7 @@ formulate different optimization criteria using our framework").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Sequence
 
 from ..errors import OptimizationError
 from ..nn.statistics import LayerStats
@@ -61,6 +61,11 @@ def mac_energy_objective(stats: Mapping[str, LayerStats]) -> Objective:
     return Objective(
         "mac", {name: float(s.num_macs) for name, s in stats.items()}
     )
+
+
+def equal_objective(names: Sequence[str]) -> Objective:
+    """The equal scheme's label: unit weights, since it solves no Eq. 8."""
+    return Objective("equal", {name: 1.0 for name in names})
 
 
 def blended_objective(

@@ -458,7 +458,18 @@ class PrecisionOptimizer:
         accuracy_drop: float = 0.01,
         validate: bool = True,
     ) -> OptimizationOutcome:
-        """The analytic equal-share allocation (no objective)."""
+        """The analytic equal-share allocation (no objective).
+
+        Validated once, never backed off.  Its outcome is memoized in
+        the persistent cache like :meth:`optimize`'s, keyed by the
+        ``equal`` allocator.
+        """
+        outcome_key = self._outcome_key(
+            "equal", accuracy_drop, validate, False, 16, allocator="equal"
+        )
+        restored = self._restore_outcome(outcome_key)
+        if restored is not None:
+            return restored
         sigma_result = self.sigma_for_drop(accuracy_drop)
         result = allocate_equal_scheme(
             self.profiles_for_drop(accuracy_drop),
@@ -468,6 +479,7 @@ class PrecisionOptimizer:
         )
         outcome, __ = self._finish(result, sigma_result, validate, False, 16,
                                    accuracy_drop)
+        self._store_outcome(outcome_key, outcome)
         return outcome
 
     # ------------------------------------------------------------------
@@ -478,6 +490,7 @@ class PrecisionOptimizer:
         validate: bool,
         search_weights: bool,
         weight_start_bits: int,
+        allocator: str = "optimized",
     ) -> str:
         net, data = self._cache_digests()
         return make_key(
@@ -485,6 +498,7 @@ class PrecisionOptimizer:
                 "kind": "outcome",
                 "network": net,
                 "dataset": data,
+                "allocator": allocator,
                 "objective": objective,
                 "accuracy_drop": float(accuracy_drop),
                 "validate": validate,
@@ -558,7 +572,7 @@ class PrecisionOptimizer:
         """
         if self.cache is None:
             return None
-        from ..optimize.objective import resolve_objective
+        from ..optimize.objective import equal_objective, resolve_objective
         from ..quant.serialization import allocation_from_dict
 
         stored = self.cache.get_json("outcome", key)
@@ -571,8 +585,10 @@ class PrecisionOptimizer:
                 xi={k: float(v) for k, v in stored["xi"].items()},
                 deltas={k: float(v) for k, v in stored["deltas"].items()},
                 sigma=float(stored["sigma"]),
-                objective=resolve_objective(
-                    stored["objective"], self.stats()
+                objective=(
+                    equal_objective(self.layer_names)
+                    if stored["objective"] == "equal"
+                    else resolve_objective(stored["objective"], self.stats())
                 ),
                 solution=None,
                 degraded=bool(stored["degraded"]),

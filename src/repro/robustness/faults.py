@@ -1,15 +1,14 @@
-"""Structured failure records for fault-isolated campaign cells.
+"""Structured failure records for fault-isolated cells.
 
-When a campaign cell raises, aborting the whole run would throw away
-every finished cell and hide which *stage* broke.  Instead the runner
+When a cell raises, aborting the whole run would throw away every
+finished cell and hide which *stage* broke.  Instead the cell executor
 converts the exception into a :class:`FailureRecord`: the error class,
 a pipeline stage inferred from the traceback, and a short digest of the
 traceback frames so identical failures can be grouped across cells and
 across runs without shipping full tracebacks around.
 
-This module depends only on the standard library and the error
-hierarchy, so both :mod:`repro.experiments.scheduler` and the
-robustness runner can import it without cycles.
+This module depends only on the standard library, so
+:mod:`repro.experiments.scheduler` can import it without cycles.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ turns "this component matters" from an assertion into a measurement
 :mod:`repro.robustness.report`.
 
 This module never imports :mod:`repro.experiments` at runtime (the
-sweep scheduler imports :mod:`repro.robustness.faults`, so a runtime
+cell executor imports :mod:`repro.robustness.faults`, so a runtime
 import here would be circular); variants describe configurations as
 override mappings applied via :func:`dataclasses.replace`.
 """

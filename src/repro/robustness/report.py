@@ -27,9 +27,10 @@ below the accuracy target), or ``failed``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
-from .runner import CampaignRow
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..experiments.scheduler import CellRow
 
 #: Effective-bits saving below which a variant is measurement noise.
 HARMFUL_BITS_THRESHOLD = 0.01
@@ -98,7 +99,7 @@ class ScenarioEntry:
 class AblationReport:
     """Everything a finished campaign measured."""
 
-    rows: List[CampaignRow] = field(default_factory=list)
+    rows: List["CellRow"] = field(default_factory=list)
     importance: List[ImportanceEntry] = field(default_factory=list)
     scenarios: List[ScenarioEntry] = field(default_factory=list)
     elapsed_seconds: float = 0.0
@@ -136,17 +137,11 @@ class AblationReport:
             out.append("scenario robustness:")
             for scenario in self.scenarios:
                 out.append("  " + _scenario_line(scenario))
-        failed = (
-            f", {self.num_failed} failed" if self.num_failed else ""
-        )
-        resumed = sum(1 for row in self.rows if row.resumed)
-        reused = f", {resumed} resumed" if resumed else ""
-        hits = self.cache_counters.get("hits", 0)
-        misses = self.cache_counters.get("misses", 0)
+        from ..experiments.scheduler import summary_line
+
         out.append(
-            f"{len(self.rows)} cells in {self.elapsed_seconds:.2f}s"
-            f"{failed}{reused}; cache: {hits} hits / {misses} misses"
-            + (f" ({self.cache_dir})" if self.cache_dir else " (off)")
+            summary_line(self.rows, self.elapsed_seconds,
+                         self.cache_counters, self.cache_dir)
         )
         for row in self.rows:
             if row.status != "failed" or row.failure is None:
@@ -189,14 +184,14 @@ def _fmt(value: Optional[float], spec: str) -> str:
 
 
 # ----------------------------------------------------------------------
-def _cost_bits(row: CampaignRow) -> Optional[float]:
+def _cost_bits(row: "CellRow") -> Optional[float]:
     if row.objective == "mac":
         return row.effective_mac_bits
     return row.effective_input_bits
 
 
 def _importance_entries(
-    rows: Sequence[CampaignRow],
+    rows: Sequence["CellRow"],
 ) -> List[ImportanceEntry]:
     baselines = {
         row.model: row
@@ -266,7 +261,7 @@ def _delta(
 
 
 def _scenario_entries(
-    rows: Sequence[CampaignRow],
+    rows: Sequence["CellRow"],
 ) -> List[ScenarioEntry]:
     entries: List[ScenarioEntry] = []
     for row in rows:
@@ -295,13 +290,12 @@ def _scenario_entries(
 
 
 def build_report(
-    rows: Sequence[CampaignRow],
+    rows: Sequence["CellRow"],
     elapsed_seconds: float,
     manifest: Optional[Dict[str, Any]] = None,
     cache_dir: Optional[str] = None,
-    executed_cell_ids: Optional[Sequence[str]] = None,
 ) -> AblationReport:
-    """Assemble the campaign report from executed/resumed rows."""
+    """Score importance and verdicts from the executor's rows."""
     totals: Dict[str, int] = {}
     for row in rows:
         if row.resumed:
@@ -316,7 +310,7 @@ def build_report(
         cache_counters=totals,
         cache_dir=cache_dir,
         manifest=dict(manifest or {}),
-        executed_cell_ids=list(executed_cell_ids or []),
+        executed_cell_ids=[row.cell_id for row in rows if not row.resumed],
     )
 
 

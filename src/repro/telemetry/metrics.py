@@ -6,9 +6,8 @@ queue depth, retries and fallbacks fired, memoization hit rates — and
 renders them as deterministic snapshots or Prometheus-style text.
 
 Determinism contract: histogram bucket boundaries are fixed at
-creation (never derived from the data), snapshots iterate names in
-sorted order, and merging worker snapshots is plain integer/float
-addition — so two runs of the same campaign produce byte-identical
+creation (never derived from the data) and snapshots iterate names in
+sorted order, so two runs of the same campaign produce byte-identical
 exports (timing histogram *values* aside).
 """
 
@@ -16,7 +15,7 @@ from __future__ import annotations
 
 import bisect
 import threading
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: Default histogram boundaries for span/stage durations, in seconds.
 DEFAULT_SECONDS_BUCKETS: Tuple[float, ...] = (
@@ -66,7 +65,7 @@ METRIC_HELP: Dict[str, str] = {
 #: Prefix fallbacks for families with dynamic member names.
 _HELP_PREFIXES: Tuple[Tuple[str, str], ...] = (
     ("repro_kernel_", "Forward-kernel dispatches by code path."),
-    ("ablate_cells_", "Ablation campaign cells by final status."),
+    ("sweep_cells_", "Executed cells by final status (ok or failed)."),
     ("repro_monitor_", "Monitor projection of a tailed run's event bus."),
 )
 
@@ -167,14 +166,6 @@ class Histogram:
         with self._lock:
             return list(self._counts)
 
-    def merge_counts(self, counts: Sequence[int], total: float, n: int) -> None:
-        """Add another histogram's tallies (same boundaries) to this one."""
-        with self._lock:
-            for index, count in enumerate(counts):
-                self._counts[index] += int(count)
-            self._sum += float(total)
-            self._count += int(n)
-
 
 class MetricsRegistry:
     """Get-or-create metric store with deterministic snapshots."""
@@ -244,70 +235,6 @@ class MetricsRegistry:
             "gauges": gauges,
             "histograms": histograms,
         }
-
-    def merge(self, snapshot: Mapping[str, Mapping[str, Any]]) -> None:
-        """Fold a worker snapshot into this registry (join-time merge).
-
-        Counters and histograms add; gauges take the incoming value
-        (point-in-time semantics).  The merge is tolerant of foreign
-        snapshots: unknown top-level sections are ignored, metrics
-        whose values do not coerce to numbers are skipped, and an
-        *empty* histogram entry (no observations) is a no-op.  A real
-        boundary mismatch between two non-empty histograms is still an
-        error — merging incompatible buckets would corrupt both.
-        """
-        counters = snapshot.get("counters", {})
-        if isinstance(counters, Mapping):
-            for name, value in counters.items():
-                try:
-                    amount = int(value)
-                    if amount < 0:
-                        continue  # a counter cannot have decreased
-                except (TypeError, ValueError):
-                    continue  # non-numeric: skip, don't crash
-                self.counter(name).inc(amount)
-        gauges = snapshot.get("gauges", {})
-        if isinstance(gauges, Mapping):
-            for name, value in gauges.items():
-                try:
-                    incoming = float(value)
-                except (TypeError, ValueError):
-                    continue
-                self.gauge(name).set(incoming)
-        histograms = snapshot.get("histograms", {})
-        if not isinstance(histograms, Mapping):
-            return
-        for name, data in histograms.items():
-            if not isinstance(data, Mapping):
-                continue  # unknown shape: nothing mergeable
-            try:
-                boundaries = [float(b) for b in data.get("boundaries", [])]
-                counts = [int(c) for c in data.get("counts", [])]
-                total = float(data.get("sum", 0.0))
-                observations = int(data.get("count", 0))
-            except (TypeError, ValueError):
-                continue
-            empty = observations == 0 and not any(counts)
-            if empty and (not boundaries or not counts):
-                continue  # empty histogram: merging it is a no-op
-            if not boundaries:
-                continue  # counts without boundaries: unmergeable
-            hist = self.histogram(name, boundaries)
-            if list(hist.boundaries) != boundaries:
-                if empty:
-                    continue
-                raise ValueError(
-                    f"histogram {name!r} bucket boundaries differ between "
-                    "workers; refusing to merge"
-                )
-            if len(counts) != len(hist.boundaries) + 1:
-                if empty:
-                    continue
-                raise ValueError(
-                    f"histogram {name!r} snapshot has {len(counts)} bucket "
-                    f"counts; expected {len(hist.boundaries) + 1}"
-                )
-            hist.merge_counts(counts, total, observations)
 
     def render_prometheus(self, prefix: str = "") -> str:
         """Prometheus text exposition (deterministic ordering).

@@ -67,6 +67,23 @@ class TestPipelineCache:
         assert warm_opt.cache.counters.hits > 0
         assert warm_opt.cache.counters.misses == 0
 
+    def test_equal_scheme_outcome_is_memoized(self, lenet, dataset, tmp_path):
+        """equal_scheme restores through the outcome key, allocator in it."""
+        cache = tmp_path / "store"
+        cold = make_optimizer(lenet, dataset, cache).equal_scheme(0.05)
+        warm_opt = make_optimizer(lenet, dataset, cache)
+        warm = warm_opt.equal_scheme(0.05)
+        assert fingerprint(warm) == fingerprint(cold)
+        assert warm.result.objective == cold.result.objective
+        assert warm_opt.cache.counters.misses == 0
+        restored = warm_opt.telemetry.metrics.counter(
+            "repro_outcome_restored_total"
+        )
+        assert restored.value == 1
+        optimized = warm_opt.optimize("input", 0.05)
+        assert restored.value == 1  # another allocator, another key
+        assert optimized.result.objective.name == "input"
+
     def test_warm_run_matches_uncached(self, lenet, dataset, tmp_path):
         cache = tmp_path / "store"
         make_optimizer(lenet, dataset, cache).optimize("input", 0.05)

@@ -1,4 +1,4 @@
-"""Incremental sweep scheduler: grid semantics and naive-loop parity."""
+"""The cell executor: grid semantics, naive-loop parity, fault boundary."""
 
 from dataclasses import replace
 
@@ -6,6 +6,8 @@ import pytest
 
 from repro.errors import ReproError
 from repro.experiments import (
+    Cell,
+    CellRow,
     ExperimentConfig,
     SweepSpec,
     clear_context_cache,
@@ -23,6 +25,31 @@ TINY = ExperimentConfig(
     search_trials=1,
     seed=1234,
 )
+
+
+def exploding(config):
+    """A context whose optimizer raises on every cell."""
+    context = make_context(config, use_cache=False)
+
+    def optimize(objective, accuracy_drop):
+        raise ValueError("injected cell failure")
+
+    context.optimizer.optimize = optimize
+    return context
+
+
+def exploding_on_mac(config):
+    """A context whose optimizer raises on the MAC objective only."""
+    context = make_context(config, use_cache=False)
+    real = context.optimizer.optimize
+
+    def optimize(objective, accuracy_drop):
+        if objective == "mac":
+            raise ValueError("injected cell failure")
+        return real(objective, accuracy_drop=accuracy_drop)
+
+    context.optimizer.optimize = optimize
+    return context
 
 
 class TestSweepSpec:
@@ -87,48 +114,28 @@ class TestRunSweep:
         assert report.cache_counters == {}
 
     def test_keep_going_records_failure_and_continues(self):
-        spec = SweepSpec(
-            models=("lenet",),
-            accuracy_drops=(0.05,),
-            objectives=("input", "mac"),
-        )
-
-        def explode_on_mac(optimizer, objective, drop):
-            if objective == "mac":
-                raise ValueError("injected cell failure")
-            return optimizer.optimize(objective, accuracy_drop=drop)
-
-        try:
-            report = run_sweep(
-                spec, TINY, keep_going=True, optimize_fn=explode_on_mac
-            )
-        finally:
-            clear_context_cache()
-        assert [c.objective for c in report.cells] == ["input"]
-        assert len(report.failures) == 1
-        failed = report.failures[0]
+        cells = [
+            Cell("lenet", 0.05, "input"),
+            Cell("lenet", 0.05, "mac", context_factory=exploding_on_mac),
+        ]
+        report = run_sweep(cells, TINY)
+        assert [c.status for c in report.cells] == ["ok", "failed"]
+        assert report.failed == [report.cells[1]]
+        failed = report.cells[1]
         assert failed.objective == "mac"
         assert failed.failure.error_class == "ValueError"
         row = failed.as_dict()
         assert row["status"] == "failed"
-        assert row["traceback_digest"]
+        assert row["failure"]["traceback_digest"]
+        assert CellRow.from_dict(row) == failed
         lines = report.lines()
         assert any("[FAILED]" in line for line in lines)
         assert "1 failed" in lines[-1]
 
-    def test_fail_fast_remains_the_default(self):
-        spec = SweepSpec(
-            models=("lenet",), accuracy_drops=(0.05,), objectives=("mac",)
-        )
-
-        def explode(optimizer, objective, drop):
-            raise ValueError("injected cell failure")
-
-        try:
-            with pytest.raises(ValueError):
-                run_sweep(spec, TINY, optimize_fn=explode)
-        finally:
-            clear_context_cache()
+    def test_strict_fails_fast(self):
+        cells = [Cell("lenet", 0.05, "mac", context_factory=exploding_on_mac)]
+        with pytest.raises(ValueError):
+            run_sweep(cells, replace(TINY, strict=True))
 
     def test_context_failure_fails_every_cell_of_that_model(self):
         spec = SweepSpec(
@@ -140,12 +147,17 @@ class TestRunSweep:
         def broken_factory(config):
             raise RuntimeError("no substrate for you")
 
-        report = run_sweep(
-            spec, TINY, keep_going=True, context_factory=broken_factory
-        )
-        assert report.cells == []
-        assert len(report.failures) == spec.num_cells
-        assert {f.failure.stage for f in report.failures} == {"context"}
+        cells = [
+            Cell(*cell, context_factory=broken_factory)
+            for cell in spec.cells()
+        ]
+        report = run_sweep(cells, TINY)
+        assert len(report.failed) == len(report.cells) == spec.num_cells
+        assert {r.failure.stage for r in report.cells} == {"context"}
+
+    def test_row_round_trips_through_its_dict(self, report):
+        for row in report.cells:
+            assert CellRow.from_dict(row.as_dict()) == row
 
     def test_persistent_rerun_restores_every_cell(self, tmp_path):
         clear_context_cache()
@@ -161,13 +173,11 @@ class TestRunSweep:
             clear_context_cache()
         assert warm.cache_counters.get("hits", 0) > 0
         assert warm.cache_counters.get("misses", 0) == 0
-        assert [c.as_dict() for c in cold.cells] != []
-        for cold_cell, warm_cell in zip(cold.cells, warm.cells):
-            cold_row = cold_cell.as_dict()
-            warm_row = warm_cell.as_dict()
-            cold_row.pop("elapsed_seconds")
-            warm_row.pop("elapsed_seconds")
-            assert cold_row == warm_row
+        assert cold.cells != []
+        assert [c.resumed for c in warm.cells] == [True] * len(warm.cells)
+        assert [c.identity_dict() for c in cold.cells] == [
+            c.identity_dict() for c in warm.cells
+        ]
 
 
 class TestSweepEvents:
@@ -250,19 +260,10 @@ class TestSweepEvents:
         assert done["attrs"]["cache_misses"] == 0
 
     def test_failed_cell_emits_failed_event(self, tmp_path):
-        def explode(optimizer, objective, drop):
-            raise ValueError("injected cell failure")
-
-        clear_context_cache()
-        try:
-            run_sweep(
-                self.SPEC,
-                replace(TINY, events_dir=str(tmp_path / "run")),
-                keep_going=True,
-                optimize_fn=explode,
-            )
-        finally:
-            clear_context_cache()
+        run_sweep(
+            [Cell("lenet", 0.05, "input", context_factory=exploding)],
+            replace(TINY, events_dir=str(tmp_path / "run")),
+        )
         events = self._events(tmp_path / "run")
         failed = [
             e for e in events

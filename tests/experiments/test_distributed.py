@@ -22,12 +22,18 @@ import pytest
 
 from repro.cache.leases import LeaseSettings, acquire_lease
 from repro.errors import ReproError, ResumeError
-from repro.experiments import ExperimentConfig, SweepSpec, run_sweep
+from repro.experiments import (
+    Cell,
+    ExperimentConfig,
+    SweepSpec,
+    clear_context_cache,
+    run_sweep,
+)
 from repro.experiments.distributed import (
     DistributedSettings,
+    cell_executor,
     cell_slug,
     collect_report,
-    execute_cell,
     lease_path,
     load_cell_row,
     load_plan,
@@ -243,12 +249,10 @@ class TestRace:
         """A stalled worker finishing after a steal republishes the
         same bits — idempotent publication, last writer wins."""
         plan = _synthetic_plan(tmp_path)
-        cell = next(plan.spec.cells())
-        first = execute_cell(plan, cell)
-        second = execute_cell(plan, cell)
-        first.pop("elapsed_seconds", None)
-        second.pop("elapsed_seconds", None)
-        assert first == second
+        cell = Cell(*next(plan.spec.cells()))
+        first = cell_executor(plan).run(cell)
+        second = cell_executor(plan).run(cell)
+        assert first.identity_dict() == second.identity_dict()
 
 
 class TestChaos:
@@ -333,8 +337,10 @@ class TestChaos:
         assert row["status"] == "failed"
         assert row["failure"]["error_class"]
         collected = collect_report(tmp_path, plan)
-        assert len(collected.failures) == 1
-        assert collected.failures[0].failure.error_class
+        assert collected.failed == collected.cells
+        assert collected.cells[0].failure.error_class == (
+            row["failure"]["error_class"]
+        )
 
 
 class TestCoordinator:
@@ -443,6 +449,61 @@ class TestRealCellIdentity:
             run_dir=tmp_path,
         )
         assert _identity_rows(distributed) == _identity_rows(serial)
+
+    def test_cold_grid_cache_totals_match_serial(self, tmp_path):
+        """Rows carry per-cell cache deltas, so one worker reports the
+        same hits and misses as the serial sweep on a cold store."""
+        totals = {}
+        for label in ("serial", "distributed"):
+            clear_context_cache()
+            config = replace(TINY, cache_dir=str(tmp_path / label / "store"))
+            if label == "serial":
+                report = run_sweep(SPEC, config)
+            else:
+                report = run_sweep_distributed(
+                    SPEC,
+                    config,
+                    distribution=DistributedSettings(
+                        workers=1, spawn="thread"
+                    ),
+                    lease=FAST,
+                    run_dir=tmp_path / label / "run",
+                )
+            totals[label] = {
+                key: report.cache_counters.get(key, 0)
+                for key in ("hits", "misses")
+            }
+            assert totals[label]["misses"] > 0
+        clear_context_cache()
+        assert totals["distributed"] == totals["serial"]
+
+    def test_warm_distributed_sweep_marks_every_cell_restored(self, tmp_path):
+        config = replace(TINY, cache_dir=str(tmp_path / "store"))
+        spec = SweepSpec(
+            models=("lenet",), accuracy_drops=(0.05,), objectives=("input",)
+        )
+        reports = [
+            run_sweep_distributed(
+                spec,
+                config,
+                distribution=DistributedSettings(workers=1, spawn="thread"),
+                lease=FAST,
+                run_dir=tmp_path / run,
+            )
+            for run in ("cold", "warm")
+        ]
+        cold, warm = reports
+        assert [c.resumed for c in cold.cells] == [False]
+        assert [c.resumed for c in warm.cells] == [True]
+        assert _identity_rows(warm) == _identity_rows(cold)
+        events = [
+            json.loads(line)
+            for line in (tmp_path / "warm" / "events-w0.jsonl")
+            .read_text()
+            .splitlines()
+        ]
+        states = [e["event"] for e in events if e["type"] == "cell"]
+        assert states == ["running", "cached-hit", "done"]
 
     def test_cell_slug_roundtrip_unique(self):
         slugs = {cell_slug(*cell) for cell in SPEC.cells()}

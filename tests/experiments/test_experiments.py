@@ -222,16 +222,18 @@ class TestBudgetAudit:
 
 
 class TestDropSweep:
+    """``run_drop_sweep`` is a one-model grid of the cell executor."""
+
     def test_sweep_points_ordered_and_safe(self, context):
         from repro.experiments import run_drop_sweep
 
         result = run_drop_sweep(
-            context=context, accuracy_drops=(0.02, 0.10)
+            context=context, accuracy_drops=(0.10, 0.02)
         )
-        assert len(result.points) == 2
-        assert result.points[0].accuracy_drop < result.points[1].accuracy_drop
-        for p in result.points:
-            assert p.meets_constraint
+        assert [c.accuracy_drop for c in result.cells] == [0.02, 0.10]
+        for cell in result.cells:
+            assert cell.status == "ok"
+            assert cell.meets_constraint
 
     def test_looser_constraint_never_needs_more_bits(self, context):
         from repro.experiments import run_drop_sweep
@@ -239,11 +241,16 @@ class TestDropSweep:
         result = run_drop_sweep(
             context=context, accuracy_drops=(0.02, 0.05, 0.15)
         )
-        assert result.is_monotone
+        bits = [c.effective_input_bits for c in result.cells]
+        assert all(b1 >= b2 - 0.3 for b1, b2 in zip(bits, bits[1:]))
+        sigmas = [c.sigma for c in result.cells]
+        assert sigmas == sorted(sigmas)
 
     def test_rows_structure(self, context):
         from repro.experiments import run_drop_sweep
 
         result = run_drop_sweep(context=context, accuracy_drops=(0.05,))
-        assert {"drop", "sigma", "eff_input_bits", "eff_mac_bits",
-                "accuracy"} == set(result.rows()[0])
+        assert {"accuracy_drop", "sigma", "effective_input_bits",
+                "effective_mac_bits", "validated_accuracy"} <= set(
+            result.rows()[0]
+        )

@@ -177,6 +177,15 @@ class TestResume:
             # resume marks reused rows; the measurement must not move
             assert _comparable(row) == _comparable(clean[row.cell_id])
 
+    def test_equal_allocator_cells_resume_too(
+        self, resumed_report, cached_config, clean_report
+    ):
+        again = run_ablation_campaign(SPEC, config=cached_config)
+        assert again.executed_cell_ids == []
+        assert all(r.resumed for r in again.rows)
+        clean = {r.cell_id: _comparable(r) for r in clean_report.rows}
+        assert {r.cell_id: _comparable(r) for r in again.rows} == clean
+
     def test_only_crashed_and_uncached_cells_reexecute(self, tmp_path):
         spec = AblationSpec(models=("lenet",), components=("cache", "scheme"))
         crashed_cell = "component/scheme:scheme2/lenet"

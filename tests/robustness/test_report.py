@@ -1,6 +1,7 @@
 """Importance ranking and scenario verdicts from synthetic rows."""
 
-from repro.robustness import CampaignRow, FailureRecord, build_report
+from repro.experiments import CellRow
+from repro.robustness import FailureRecord, build_report
 
 
 def _row(
@@ -22,12 +23,11 @@ def _row(
         baseline_accuracy=0.9,
         validated_accuracy=0.88,
         target_accuracy=0.85,
-        meets_constraint=True,
         degraded=False,
         bitwidths={"fc": 5},
     )
     defaults.update(overrides)
-    return CampaignRow(
+    return CellRow(
         cell_id=cell_id,
         kind=kind,
         group=group,
@@ -107,7 +107,6 @@ class TestImportance:
             group="scheme",
             variant="scheme:scheme2",
             effective_input_bits=4.5,
-            meets_constraint=True,
         )
         report = build_report(
             [BASELINE, better_without], elapsed_seconds=1.0
@@ -121,7 +120,6 @@ class TestImportance:
             variant="xi:equal",
             effective_input_bits=4.0,
             validated_accuracy=0.5,
-            meets_constraint=False,
         )
         report = build_report(
             [BASELINE, cheaper_but_broken], elapsed_seconds=1.0
@@ -150,7 +148,7 @@ class TestScenarios:
                 kind="scenario",
                 group="input:scale",
                 variant="input:scale",
-                meets_constraint=False,
+                validated_accuracy=0.8,
             ),
             _row(
                 "scenario/topology:deep/lenet",
@@ -192,6 +190,7 @@ class TestReportShape:
         resumed.resumed = True
         report = build_report([executed, resumed], elapsed_seconds=1.0)
         assert report.cache_counters == {"hits": 3}
+        assert report.executed_cell_ids == [executed.cell_id]
 
     def test_lines_mention_failures_and_counts(self):
         crashed = _row(

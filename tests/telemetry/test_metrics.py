@@ -100,107 +100,6 @@ class TestSnapshotAndMerge:
         registry.counter("aa").inc()
         assert list(registry.snapshot()["counters"]) == ["aa", "zz"]
 
-    def test_merge_adds_counters_and_histograms(self):
-        parent = self.build()
-        parent.merge(self.build().snapshot())
-        snap = parent.snapshot()
-        assert snap["counters"]["repro_memo_hits_total"] == 6
-        assert snap["histograms"]["lat"]["counts"] == [0, 2, 0]
-        assert snap["histograms"]["lat"]["sum"] == pytest.approx(1.0)
-        # Gauges take the incoming point-in-time value.
-        assert snap["gauges"]["depth"] == 2.0
-
-    def test_merge_rejects_boundary_mismatch(self):
-        parent = self.build()
-        worker = MetricsRegistry()
-        worker.histogram("lat", buckets=[0.5, 5.0]).observe(1.0)
-        with pytest.raises(ValueError, match="boundaries differ"):
-            parent.merge(worker.snapshot())
-
-    def test_merge_into_empty_registry(self):
-        parent = MetricsRegistry()
-        parent.merge(self.build().snapshot())
-        assert parent.snapshot() == self.build().snapshot()
-
-    def test_merge_skips_unknown_metric_values(self):
-        # Foreign snapshots (newer workers, hand-edited files) may carry
-        # values this build cannot merge; they must not crash the join.
-        parent = self.build()
-        parent.merge(
-            {
-                "counters": {"repro_memo_hits_total": 2, "weird": "yes"},
-                "gauges": {"depth": 3.0, "shape": [1, 2]},
-                "histograms": {
-                    "mystery": "not-a-mapping",
-                    "partial": {"sum": "NaNish"},
-                },
-                "futuristic_section": {"x": 1},
-            }
-        )
-        snap = parent.snapshot()
-        assert snap["counters"]["repro_memo_hits_total"] == 5
-        assert "weird" not in snap["counters"]
-        assert snap["gauges"]["depth"] == 3.0
-        assert "shape" not in snap["gauges"]
-        assert set(snap["histograms"]) == {"lat"}
-
-    def test_merge_non_mapping_sections_are_ignored(self):
-        parent = self.build()
-        parent.merge(
-            {"counters": [1, 2], "gauges": None, "histograms": "nope"}
-        )
-        assert parent.snapshot() == self.build().snapshot()
-
-    def test_merge_empty_histogram_is_a_noop(self):
-        parent = self.build()
-        # Empty histogram with *different* boundaries: nothing to fold
-        # in, so no boundary-mismatch error either.
-        parent.merge(
-            {
-                "histograms": {
-                    "lat": {
-                        "boundaries": [9.0],
-                        "counts": [0, 0],
-                        "sum": 0.0,
-                        "count": 0,
-                    },
-                    "bare": {},
-                }
-            }
-        )
-        snap = parent.snapshot()
-        assert snap["histograms"]["lat"]["counts"] == [0, 1, 0]
-        assert "bare" not in snap["histograms"]
-
-    def test_merge_still_rejects_nonempty_mismatch(self):
-        parent = self.build()
-        with pytest.raises(ValueError, match="boundaries differ"):
-            parent.merge(
-                {
-                    "histograms": {
-                        "lat": {
-                            "boundaries": [9.0],
-                            "counts": [1, 0],
-                            "sum": 1.0,
-                            "count": 1,
-                        }
-                    }
-                }
-            )
-        with pytest.raises(ValueError, match="bucket"):
-            parent.merge(
-                {
-                    "histograms": {
-                        "lat": {
-                            "boundaries": [0.1, 1.0],
-                            "counts": [1],
-                            "sum": 1.0,
-                            "count": 1,
-                        }
-                    }
-                }
-            )
-
 
 class TestPrometheus:
     def test_render_counter_gauge_histogram(self):

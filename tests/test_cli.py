@@ -51,12 +51,6 @@ class TestParser:
         args = build_parser().parse_args(["optimize", "--strict"])
         assert args.strict is True
 
-    def test_sweep_keep_going_flag(self):
-        args = build_parser().parse_args(["sweep"])
-        assert args.keep_going is False
-        args = build_parser().parse_args(["sweep", "--keep-going"])
-        assert args.keep_going is True
-
     def test_ablate_defaults(self):
         args = build_parser().parse_args(["ablate"])
         assert args.drop == 0.05
@@ -148,23 +142,17 @@ class TestCommands:
         }
 
     def test_sweep_keep_going_completes(self, capsys):
-        # keep-going on a healthy grid is a no-op: same cells, no rows
-        # marked failed.
-        code = main(
-            [
-                "sweep",
-                "--keep-going",
-                "--drops",
-                "0.05",
-                "--objectives",
-                "input",
-            ]
-            + FAST
-        )
+        # A crashing cell becomes a [FAILED] row, the rest of the grid
+        # still runs, and the exit status reports the failure.
+        args = ["sweep", "--drops", "0.05", "--objectives", "input,mac"]
+        assert main(args + FAST) == 0
         out = capsys.readouterr().out
-        assert code == 0
-        assert "1 cells" in out
+        assert "2 cells" in out
         assert "FAILED" not in out
+        assert main(args + FAST + ["--train-count", "-1"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("[FAILED]") == 2
+        assert "2 cells" in out and "2 failed" in out
 
     def test_fig2(self, capsys):
         assert main(["fig2"] + FAST) == 0
