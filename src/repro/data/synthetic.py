@@ -20,10 +20,52 @@ from dataclasses import dataclass
 from typing import Iterator, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from ..config import DEFAULT_SEED
 from ..errors import ReproError
+
+
+def gaussian_smooth(x: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian smoothing along the last two axes, one after the other.
+
+    Bit for bit what ``scipy.ndimage.gaussian_filter`` computes with
+    ``sigma`` on the last two axes (0 elsewhere) and its defaults
+    (``truncate=4.0``, ``reflect`` border), so the data never needs
+    scipy.  Per axis it builds scipy's normalised kernel of radius
+    ``int(4.0 * sigma + 0.5)`` and keeps scipy's summation order for a
+    symmetric kernel: the center times ``w[0]`` first, then
+    ``(x[-j] + x[+j]) * w[j]`` from the outermost pair ``j = radius``
+    inward.  ``reflect`` mirrors about the edge with the edge sample
+    repeated (``d c b a | a b c d``), and the mirror repeats with
+    period ``2 * length`` on lines shorter than the radius.
+    """
+    out = np.array(x, dtype=np.float64)
+    if sigma <= 1e-15:
+        return out
+    radius = int(4.0 * float(sigma) + 0.5)
+    offsets = np.arange(-radius, radius + 1)
+    weights = np.exp(-0.5 / (sigma * sigma) * offsets**2)
+    weights = weights / weights.sum()
+    pair = np.empty_like(out)
+    for axis in (x.ndim - 2, x.ndim - 1):
+        length = out.shape[axis]
+        index = np.arange(-radius, length + radius) % (2 * length)
+        index = np.where(index >= length, 2 * length - 1 - index, index)
+        # The smoothed axis first, so a shift is a slice of the leading axis.
+        padded = np.moveaxis(np.take(out, index, axis=axis), axis, 0)
+        target = np.moveaxis(out, axis, 0)
+        pair_view = np.moveaxis(pair, axis, 0)
+        np.multiply(padded[radius : radius + length], weights[radius], out=target)
+        for j in range(radius, 0, -1):
+            np.add(
+                padded[radius - j : radius - j + length],
+                padded[radius + j : radius + j + length],
+                out=pair_view,
+            )
+            pair_view *= weights[radius - j]
+            target += pair_view
+        del padded  # freed before the next axis pads its own copy
+    return out
 
 
 @dataclass
@@ -102,9 +144,7 @@ class SyntheticImageNet:
     def _smooth_field(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Unit-std smooth random fields of shape (count, C, H, W)."""
         raw = rng.standard_normal((count,) + self.image_shape)
-        smooth = ndimage.gaussian_filter(
-            raw, sigma=(0, 0, self.smoothness, self.smoothness)
-        )
+        smooth = gaussian_smooth(raw, self.smoothness)
         std = smooth.std(axis=(1, 2, 3), keepdims=True)
         return smooth / np.maximum(std, 1e-12)
 

@@ -17,12 +17,13 @@ for bitwidth results to be meaningful.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Sequence
 
 import numpy as np
 
 from ..errors import ModelError
-from ..nn.graph import INPUT, Network
+from ..nn.graph import Network
+from ..nn.layer import Layer
 from ..nn.layers import Conv2D, Dense
 
 
@@ -36,14 +37,15 @@ def lsuv_calibrate(
 
     Layers are visited in topological order, so each rescaling sees the
     already-calibrated upstream activations.  Returns the applied scale
-    factor per layer.  The network is modified in place.
+    factor per layer.  The network is modified in place.  The pass is
+    one :meth:`Network.forward`, which frees each activation after its
+    last consumer.
     """
     if target_std <= 0:
         raise ModelError("target_std must be positive")
     scales: Dict[str, float] = {}
-    values: Dict[str, np.ndarray] = {INPUT: np.asarray(images, dtype=np.float64)}
-    for layer in network.layers:
-        arrays = [values[name] for name in layer.inputs]
+
+    def calibrated(layer: Layer, arrays: Sequence[np.ndarray]) -> np.ndarray:
         out = layer.forward(arrays)
         if isinstance(layer, (Conv2D, Dense)):
             std = float(out.std())
@@ -51,7 +53,9 @@ def lsuv_calibrate(
             layer.weight = layer.weight * factor
             if layer.bias is not None:
                 layer.bias = layer.bias * factor
-            out = out * factor
+            out *= factor
             scales[layer.name] = factor
-        values[layer.name] = out
+        return out
+
+    network.forward(images, forward_fn=calibrated)
     return scales

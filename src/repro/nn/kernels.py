@@ -4,8 +4,9 @@
 ``LRN.forward`` and ``ReLU.forward`` call the functions below; every
 call writes fresh buffers, so outputs never alias:
 
-* **Convolution** (dense and grouped) gathers its sliding windows once,
-  directly into the ``(C*k*k, N*P)`` layout a single GEMM per group
+* **Convolution** (dense and grouped) runs per block of samples (see
+  *Working set* below).  Per block and group it gathers the sliding
+  windows once, directly into the ``(C*k*k, b*P)`` layout a single GEMM
   consumes, and fuses the bias add into the copy out of that GEMM.
   Every output element is the same dot product over the same operand
   order as a per-sample GEMM, but BLAS may *accumulate* it in a
@@ -14,24 +15,25 @@ call writes fresh buffers, so outputs never alias:
   build we target) differs between the fused and the per-sample call
   can differ in the last bit.  When the spatial position count ``P``
   is a multiple of 8, every sample's columns occupy whole microtiles at
-  the same phase in both calls, and the results are bitwise equal.  So
-  the fused GEMM runs only when ``P % 8 == 0`` (and a group has more
-  than one output channel, so numpy calls gemm rather than gemv);
-  other shapes keep one GEMM per sample over ``im2col`` columns.  Most
-  zoo convolutions conform, but googlenet and vgg19 each have four at
-  ``P = 4`` (2x2 maps) that take the per-sample path.  Plain 1x1
-  convolutions skip the gather (the input already is its column
-  matrix) and run one batched per-sample matmul.  Depthwise
-  convolutions keep their einsum.
+  the same phase in both calls, whatever block they sit in, and the
+  results are bitwise equal.  So the fused GEMM runs only when
+  ``P % 8 == 0`` (and a group has more than one output channel, so
+  numpy calls gemm rather than gemv); other shapes keep one GEMM per
+  sample over ``im2col`` columns.  Most zoo convolutions conform, but
+  googlenet and vgg19 each have four at ``P = 4`` (2x2 maps) that take
+  the per-sample path.  Plain 1x1 convolutions skip the gather (the
+  input already is its column matrix) and run one batched per-sample
+  matmul.  Depthwise convolutions keep their einsum.
 * **Max pooling** with non-overlapping 2x2 windows (every zoo max pool
   but googlenet's 3x3 inception pools) is a reshape plus three
   ``np.maximum`` calls; other geometries reduce the generic 6-D window
   copy.
-* **LRN** cumulative-sums the squared channels in place.  Because
-  ``x*x`` is never ``-0.0`` and adding a leading or trailing ``+0.0``
-  to an IEEE sum is exact, these sums equal the cumulative sums of a
-  zero-padded channel axis bit for bit; the scale, ``** beta`` and
-  divide are the same elementwise operations, run into one buffer.
+* **LRN** cumulative-sums the squared channels in place, in the buffer
+  that holds the squares.  Because ``x*x`` is never ``-0.0`` and adding
+  a leading or trailing ``+0.0`` to an IEEE sum is exact, these sums
+  equal the cumulative sums of a zero-padded channel axis bit for bit;
+  the scale, ``** beta`` and divide are the same elementwise
+  operations, run into one buffer.
 * **Dense** and **ReLU** are the plain GEMM and ``np.maximum``.
 
 **Batch invariance.**  Because of the phase rule above, every layer
@@ -40,10 +42,22 @@ batch of ``B`` as for ``B`` batch-1 calls.  ``Dense`` runs one
 ``(N, in) @ (in, out)`` GEMM and the depthwise einsum contracts the
 whole batch; both pick kernels by ``N``.
 
+**Working set.**  A gathered column matrix is ``k*k`` times the size
+of its input, so a whole-batch gather would make the batch size set a
+forward pass's peak memory.  :func:`sample_blocks` splits the batch
+into blocks of as many samples as keep one block's columns within
+:data:`COLUMN_BUDGET_BYTES` (at least one sample), and both the fp64
+convolution and the quantized runtime's code gather run their gather
+and GEMM once per block and group.  Blocking changes no output byte:
+the fp64 path's phase rule makes a sample's result independent of the
+block it sits in, and integer sums are exact in any order.  A batch
+that fits the budget is a single block.
+
 **Scratch.**  A :class:`KernelScratch` hands out one buffer per
-(layer, role) key, so a convolution's groups share their gather and
-GEMM buffers.  The quantized runtime passes one in the GEMM operand
-dtype so its code gather (:func:`fused_im2col`) casts while it copies.
+(layer, role) key, so a convolution's groups and blocks share their
+gather and GEMM buffers.  The quantized runtime passes one in the GEMM
+operand dtype so its code gather (:func:`fused_im2col`) casts while it
+copies.
 
 ``tests/nn/reference_layers.py`` keeps the earlier per-sample layer
 implementations as the oracle these kernels are tested against, byte
@@ -52,7 +66,7 @@ for byte.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -66,6 +80,27 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .layers.dense import Dense
     from .layers.norm import LRN
     from .layers.pool import MaxPool2D
+
+
+#: Bytes one block of gathered convolution columns may take.  1 MB
+#: measured fastest on the zoo's convolutions; larger blocks only add
+#: memory traffic (see :func:`sample_blocks`).
+COLUMN_BUDGET_BYTES = 1 << 20
+
+
+def sample_blocks(layer: "Conv2D", n: int, itemsize: int) -> List[slice]:
+    """Consecutive slices of a batch of ``n``, one per column block.
+
+    One sample's gathered columns of ``layer`` are ``(C*k*k, P)`` items
+    of ``itemsize`` bytes (``C`` input channels per group, ``P`` output
+    positions); each block holds as many samples as fit
+    :data:`COLUMN_BUDGET_BYTES`, and at least one.  Only the last block
+    may be shorter.
+    """
+    _, out_h, out_w = layer.output_shape
+    sample_bytes = layer.weight[0].size * out_h * out_w * itemsize
+    step = max(1, COLUMN_BUDGET_BYTES // max(sample_bytes, 1))
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
 class KernelScratch:
@@ -195,33 +230,38 @@ def conv2d(layer: "Conv2D", x: np.ndarray) -> np.ndarray:
     # rule only covers gemm.
     fused = positions % 8 == 0 and out_per_group > 1
     bias = None if layer.bias is None else layer.bias[:, None]
-    for g in range(layer.groups):
-        # A strided channel-slice view: both the pad copy and the
-        # as_strided gather read through arbitrary strides.
-        x_g = x[:, g * in_per_group : (g + 1) * in_per_group]
-        channels = slice(g * out_per_group, (g + 1) * out_per_group)
-        w2d = weight[channels].reshape(out_per_group, -1)
-        if fused:
-            cols = fused_im2col(
-                x_g, layer.kernel, layer.stride, layer.padding, scratch, (name,)
-            )
-            flat = scratch.get((name, "flat"), (out_per_group, cols.shape[1]))
-            np.matmul(w2d, cols, out=flat)
-            result = flat.reshape(out_per_group, n, positions).transpose(1, 0, 2)
-        else:
-            # One GEMM per sample over im2col's columns.  numpy picks
-            # dot, gemv or gemm, and the transpose flags, by operand
-            # shape and strides, so the operands keep im2col's exact
-            # layout (a strided view when C == 1 or P == 1).
-            cols = im2col(x_g, layer.kernel, layer.stride, layer.padding)
-            result = np.matmul(w2d[None, :, :], cols)
-        # The bias add is fused into the copy out of the GEMM result:
-        # one addition per element, the same operands as a
-        # matmul-then-add, so the bits match.
-        if bias is not None:
-            np.add(result, bias[channels], out=out3[:, channels])
-        else:
-            np.copyto(out3[:, channels], result)
+    for block in sample_blocks(layer, n, 8):
+        x_b = x[block]
+        out_b = out3[block]
+        for g in range(layer.groups):
+            # A strided channel-slice view: both the pad copy and the
+            # as_strided gather read through arbitrary strides.
+            x_g = x_b[:, g * in_per_group : (g + 1) * in_per_group]
+            channels = slice(g * out_per_group, (g + 1) * out_per_group)
+            w2d = weight[channels].reshape(out_per_group, -1)
+            if fused:
+                cols = fused_im2col(
+                    x_g, layer.kernel, layer.stride, layer.padding, scratch, (name,)
+                )
+                flat = scratch.get((name, "flat"), (out_per_group, cols.shape[1]))
+                np.matmul(w2d, cols, out=flat)
+                result = flat.reshape(out_per_group, x_g.shape[0], positions).transpose(
+                    1, 0, 2
+                )
+            else:
+                # One GEMM per sample over im2col's columns.  numpy picks
+                # dot, gemv or gemm, and the transpose flags, by operand
+                # shape and strides, so the operands keep im2col's exact
+                # layout (a strided view when C == 1 or P == 1).
+                cols = im2col(x_g, layer.kernel, layer.stride, layer.padding)
+                result = np.matmul(w2d[None, :, :], cols)
+            # The bias add is fused into the copy out of the GEMM result:
+            # one addition per element, the same operands as a
+            # matmul-then-add, so the bits match.
+            if bias is not None:
+                np.add(result, bias[channels], out=out_b[:, channels])
+            else:
+                np.copyto(out_b[:, channels], result)
     return out
 
 
@@ -264,10 +304,10 @@ def lrn(layer: "LRN", x: np.ndarray) -> np.ndarray:
     """Local response normalization with in-place cumulative sums."""
     half = layer.local_size // 2
     channels = x.shape[1]
-    squared = np.empty(x.shape)
-    np.multiply(x, x, out=squared)
+    # The running channel sum overwrites the squares it reads.
     cumulative = np.empty(x.shape)
-    np.cumsum(squared, axis=1, out=cumulative)
+    np.multiply(x, x, out=cumulative)
+    np.add.accumulate(cumulative, axis=1, out=cumulative)
     window = np.empty(x.shape)
     # upper[c] = cumulative[min(c + half, C-1)]: two slice copies beat
     # the equivalent fancy-indexed np.take.

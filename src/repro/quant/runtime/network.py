@@ -23,13 +23,15 @@ Bit-identity contract: the integer path is deterministic and exact, so
 results are bit-identical across backends (``reference``/``fast``) and
 across engine ``--jobs`` settings (which never touch this path).
 
-Conv layout: per group, the unpacked int64 codes are gathered once,
-straight into the ``(C*k*k, N*P)`` GEMM operand in the plan's operand
-dtype (this module's ``im2col``, :func:`repro.nn.kernels.fused_im2col`);
-the bias is added in place on the GEMM result and
-:func:`~repro.quant.runtime.kernels.requantize` scales it while copying
-it into the ``(N, C_out, P)`` output.  Integer sums are exact in any
-order, so one GEMM per group covers the whole batch for every geometry.
+Conv layout: per block of samples and per group, the unpacked int64
+codes are gathered once, straight into the ``(C*k*k, b*P)`` GEMM
+operand in the plan's operand dtype (this module's ``im2col``,
+:func:`repro.nn.kernels.fused_im2col`); the bias is added in place on
+the GEMM result and :func:`~repro.quant.runtime.kernels.requantize`
+scales it while copying it into the ``(N, C_out, P)`` output.  Blocks
+hold as many samples as fit the fp64 kernels' column budget
+(:func:`repro.nn.kernels.sample_blocks`); integer sums are exact in any
+order, so every blocking gives the same bytes for every geometry.
 
 Operand dtype: inside the fast backend's exactness envelope
 (:func:`~repro.quant.runtime.kernels.float64_exact`) the codes become
@@ -49,7 +51,7 @@ import numpy as np
 from ...config import MAX_BITWIDTH, MIN_BITWIDTH
 from ...errors import QuantizationError
 from ...nn.graph import Network
-from ...nn.kernels import KernelScratch
+from ...nn.kernels import KernelScratch, sample_blocks
 from ...nn.kernels import fused_im2col as im2col
 from ...nn.layer import Layer
 from ...nn.layers.conv import Conv2D
@@ -343,12 +345,14 @@ class QuantizedNetwork:
     def _int_conv(
         self, layer: Conv2D, plan: QuantizedLayerPlan, codes: np.ndarray
     ) -> np.ndarray:
-        """One gather in and one scaled copy out per group.
+        """One gather in and one scaled copy out per sample block and group.
 
         The gather casts the int64 codes to the operand dtype while it
-        lays them out as the GEMM's ``(C*k*k, N*P)`` operand.  Integer
-        arithmetic is exact, so one GEMM per group covers the whole
-        batch for every geometry: no phase rule.
+        lays them out as the GEMM's ``(C*k*k, b*P)`` operand.  Blocks
+        follow :func:`repro.nn.kernels.sample_blocks`, so the columns
+        never outgrow the column budget.  Integer arithmetic is exact,
+        so any blocking gives the same bytes for every geometry: no
+        phase rule.
         """
         n = codes.shape[0]
         out_c, out_h, out_w = layer.output_shape
@@ -369,29 +373,33 @@ class QuantizedNetwork:
         in_per_group = w_codes.shape[1]
         scratch = KernelScratch(w_codes.dtype)
         out = np.empty((n, out_c, positions), dtype=np.float64)
-        for g in range(layer.groups):
-            cols = im2col(
-                codes[:, g * in_per_group : (g + 1) * in_per_group],
-                layer.kernel,
-                layer.stride,
-                layer.padding,
-                scratch,
-            )
-            out_slice = slice(g * per_group, (g + 1) * per_group)
-            acc = integer_gemm(
-                w_codes[out_slice].reshape(per_group, -1),
-                cols,
-                self.spec.backend,
-                plan.bound,
-                float_accumulator=True,
-            )
-            if plan.bias_codes is not None:
-                acc += plan.bias_codes[out_slice, None]
-            requantize(
-                acc.reshape(per_group, n, positions).transpose(1, 0, 2),
-                plan.shift,
-                out=out[:, out_slice],
-            )
+        for block in sample_blocks(layer, n, w_codes.itemsize):
+            codes_b = codes[block]
+            for g in range(layer.groups):
+                cols = im2col(
+                    codes_b[:, g * in_per_group : (g + 1) * in_per_group],
+                    layer.kernel,
+                    layer.stride,
+                    layer.padding,
+                    scratch,
+                )
+                out_slice = slice(g * per_group, (g + 1) * per_group)
+                acc = integer_gemm(
+                    w_codes[out_slice].reshape(per_group, -1),
+                    cols,
+                    self.spec.backend,
+                    plan.bound,
+                    float_accumulator=True,
+                )
+                if plan.bias_codes is not None:
+                    acc += plan.bias_codes[out_slice, None]
+                requantize(
+                    acc.reshape(per_group, codes_b.shape[0], positions).transpose(
+                        1, 0, 2
+                    ),
+                    plan.shift,
+                    out=out[block, out_slice],
+                )
         return out.reshape(n, out_c, out_h, out_w)
 
     def dequantized_weight(self, name: str) -> np.ndarray:

@@ -11,14 +11,18 @@ opt-in via :class:`repro.config.TelemetrySettings`.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import os
 import platform
 import subprocess
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from importlib import import_module
+from importlib import metadata
 from typing import Any, Dict, Mapping, Optional
+
+import numpy as np
 
 
 def config_hash(config: Mapping[str, Any]) -> str:
@@ -50,17 +54,30 @@ def git_revision(cwd: Optional[str] = None) -> Optional[str]:
 
 
 def package_versions() -> Dict[str, str]:
-    """Versions of the interpreter and the numeric stack (if present)."""
-    versions = {"python": platform.python_version()}
-    for module_name in ("numpy", "scipy"):
-        try:
-            module = import_module(module_name)
-        except ImportError:
-            continue
-        version = getattr(module, "__version__", None)
-        if version is not None:
-            versions[module_name] = str(version)
+    """Versions of the interpreter and the numeric stack (if installed).
+
+    numpy is already imported; scipy's version is read from its
+    installed distribution's metadata, so asking for it never imports
+    scipy.
+    """
+    versions = {"python": platform.python_version(), "numpy": str(np.__version__)}
+    try:
+        versions["scipy"] = metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        pass
     return versions
+
+
+@functools.lru_cache(maxsize=None)
+def _process_git_revision(cwd: str) -> Optional[str]:
+    """:func:`git_revision` of ``cwd``, resolved once per process."""
+    return git_revision(cwd)
+
+
+@functools.lru_cache(maxsize=1)
+def _process_versions() -> Dict[str, str]:
+    """:func:`package_versions`, read once per process (do not mutate)."""
+    return package_versions()
 
 
 @dataclass
@@ -103,19 +120,30 @@ def build_manifest(
     ``config`` is any JSON-able mapping of the knobs that determine the
     run's outputs; its hash is the manifest's primary identity.  Seed
     and model are lifted out as first-class fields because they are the
-    two most-queried provenance facts.
+    two most-queried provenance facts.  The git revision (per working
+    directory) and the package versions are resolved once per process:
+    every optimizer builds a manifest, and a ``git`` subprocess per
+    build costs milliseconds.  They stay fixed for the life of the
+    process: a later commit is not seen, and a failed lookup (no git,
+    a timeout) leaves ``git_sha`` None in every later manifest too.
     """
     plain_config: Dict[str, Any] = dict(config or {})
     if seed is not None and "seed" not in plain_config:
         plain_config["seed"] = seed
     if model is not None and "model" not in plain_config:
         plain_config["model"] = model
+    git_sha: Optional[str] = None
+    if include_git:
+        try:
+            git_sha = _process_git_revision(os.getcwd())
+        except FileNotFoundError:  # the working directory was removed
+            git_sha = None
     return RunManifest(
         config_hash=config_hash(plain_config),
         seed=seed,
         model=model,
-        git_sha=git_revision() if include_git else None,
-        versions=package_versions(),
+        git_sha=git_sha,
+        versions=_process_versions().copy(),
         created_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         config=plain_config,
     )

@@ -2,9 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data import Dataset, SyntheticImageNet
+from repro.data import synthetic
+from repro.data.synthetic import gaussian_smooth
 from repro.errors import ReproError
+
+try:  # scipy is a test-only dependency: the oracle for the smoothing
+    from scipy import ndimage
+except ImportError:  # pragma: no cover - exercised without scipy
+    ndimage = None
 
 
 class TestDataset:
@@ -90,3 +99,43 @@ class TestSyntheticImageNet:
     def test_rejects_bad_shape(self):
         with pytest.raises(ReproError):
             SyntheticImageNet(image_shape=(3, 16))
+
+
+@pytest.mark.skipif(ndimage is None, reason="scipy is not installed")
+class TestGaussianSmooth:
+    """The numpy smoothing is scipy's ``gaussian_filter``, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        c=st.integers(1, 3),
+        h=st.integers(1, 20),
+        w=st.integers(1, 20),
+        sigma=st.sampled_from([0.0, 0.3, 1.0, 2.0, 2.5, 3.7]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_scipy(self, n, c, h, w, sigma, seed):
+        # Radii up to 15 against lines as short as 1 sample: the
+        # reflection repeats there.
+        x = np.random.default_rng(seed).standard_normal((n, c, h, w))
+        want = ndimage.gaussian_filter(x, sigma=(0, 0, sigma, sigma))
+        assert gaussian_smooth(x, sigma).tobytes() == want.tobytes()
+
+    def test_leaves_input_alone(self):
+        x = np.random.default_rng(1).standard_normal((2, 3, 8, 8))
+        before = x.copy()
+        gaussian_smooth(x, 2.0)
+        assert x.tobytes() == before.tobytes()
+
+    def test_dataset_bytes_match_scipy_smoothing(self, monkeypatch):
+        # The zoo's default sizes: 16 classes of (3, 32, 32) images.
+        fresh = SyntheticImageNet().train_test(64, 32)
+
+        def scipy_smooth(x, sigma):
+            return ndimage.gaussian_filter(x, sigma=(0, 0, sigma, sigma))
+
+        monkeypatch.setattr(synthetic, "gaussian_smooth", scipy_smooth)
+        via_scipy = SyntheticImageNet().train_test(64, 32)
+        for got, want in zip(fresh, via_scipy):
+            assert got.images.tobytes() == want.images.tobytes()
+            assert got.labels.tobytes() == want.labels.tobytes()

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import LRN, Conv2D, Dense, MaxPool2D, ReLU
+from repro.nn.kernels import COLUMN_BUDGET_BYTES, sample_blocks
 from tests.nn.reference_layers import reference_forward
 
 rng = np.random.default_rng(7)
@@ -106,6 +107,69 @@ class TestConvKernel:
             "c", ["i"], weight, bias, stride=stride, padding=padding, groups=groups
         )
         assert_kernel_bitwise(layer, x, reps=2)
+
+
+def bound_conv(in_c, kernel, size, padding=0, groups=1):
+    """A bias-free conv bound to a (in_c, size, size) input."""
+    layer = Conv2D(
+        "c", ["i"], np.zeros((groups, in_c // groups, kernel, kernel)),
+        padding=padding, groups=groups,
+    )
+    layer.bind([(in_c, size, size)])
+    return layer
+
+
+class TestSampleBlocks:
+    def test_blocks_tile_the_batch(self):
+        # 16 * 9 * 256 float64 columns: 3 samples per block.
+        layer = bound_conv(16, 3, 16, padding=1)
+        blocks = sample_blocks(layer, 10, 8)
+        assert [(b.start, b.stop) for b in blocks] == [(0, 3), (3, 6), (6, 9), (9, 10)]
+
+    def test_one_sample_over_budget_is_its_own_block(self):
+        layer = bound_conv(64, 3, 32, padding=1)
+        blocks = sample_blocks(layer, 3, 8)
+        assert [(b.start, b.stop) for b in blocks] == [(0, 1), (1, 2), (2, 3)]
+
+    def test_itemsize_scales_the_block(self):
+        layer = bound_conv(16, 3, 16, padding=1)
+        assert sample_blocks(layer, 12, 4)[0] == slice(0, 7)
+
+    def test_columns_count_one_group(self):
+        # Two groups of 16 channels gather 16 * 9 rows at a time.
+        layer = bound_conv(32, 3, 16, padding=1, groups=2)
+        assert sample_blocks(layer, 10, 8)[0] == slice(0, 3)
+
+    def test_small_batch_is_one_block(self):
+        assert sample_blocks(bound_conv(1, 1, 4), 5, 8) == [slice(0, 5)]
+
+
+class TestBlockedConv:
+    """The sample-blocked gather at one block, several, and a short last one."""
+
+    @pytest.mark.parametrize(
+        "in_c,out_c,size,padding,groups",
+        [
+            (16, 24, 16, 1, 1),  # P = 256: fused path
+            (16, 24, 15, 1, 1),  # P = 225: per-sample path
+            (32, 24, 16, 1, 2),  # grouped, fused
+            (32, 24, 13, 1, 2),  # grouped, per-sample (P = 169)
+            (16, 24, 18, 0, 1),  # unpadded, fused
+        ],
+    )
+    def test_matches_oracle_across_block_counts(self, in_c, out_c, size, padding, groups):
+        local = np.random.default_rng(in_c + size + groups)
+        weight = local.standard_normal((out_c, in_c // groups, 3, 3))
+        bias = local.standard_normal(out_c)
+        layer = Conv2D(
+            "c", ["i"], weight, bias, stride=1, padding=padding, groups=groups
+        )
+        layer.bind([(in_c, size, size)])
+        step = sample_blocks(layer, 64, 8)[0].stop
+        assert 1 < step < 8  # several samples per block, several blocks
+        for n, count in ((step, 1), (2 * step, 2), (2 * step + 1, 3)):
+            assert len(sample_blocks(layer, n, 8)) == count
+            assert_kernel_bitwise(layer, local.standard_normal((n, in_c, size, size)), reps=1)
 
 
 class TestDenseKernel:

@@ -10,11 +10,13 @@ backend.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.nn import INPUT, Network
 from repro.nn.layers.conv import Conv2D
+from repro.nn.kernels import sample_blocks
 from repro.nn.layers.dense import Dense
 from repro.nn.tensor import extract_windows, flatten_spatial, im2col
 from repro.quant import BitwidthAllocation
@@ -132,3 +134,24 @@ def test_conv_matches_int64_oracle(
     images = rng.normal(scale=3.0, size=(batch,) + net.input_shape)
     got = q.forward(images)
     assert got.tobytes() == oracle_forward(q, net, images).tobytes()
+
+
+@pytest.mark.parametrize("batch", [1, 7, 32])
+@pytest.mark.parametrize("groups", [1, 2])
+def test_blocked_conv_matches_reference_backend(batch, groups):
+    # 16 input channels per group, a 3x3 kernel and 16x16 outputs give
+    # 3 samples per column block: batch 1 is one block, 7 ends on a
+    # short block and 32 spans eleven.
+    rng = np.random.default_rng(batch + groups)
+    net = conv_net(rng, 16 * groups, 8 * groups, groups, 3, 1, 1, 16)
+    blocks = sample_blocks(net["conv"], batch, 8)
+    assert len(blocks) == -(-batch // 3)
+    allocation = BitwidthAllocation(
+        [LayerAllocation("conv", 3, 7), LayerAllocation("fc", 4, 6)]
+    )
+    images = rng.normal(scale=3.0, size=(batch,) + net.input_shape)
+    want = QuantizedNetwork(net, allocation, RuntimeSpec(backend="reference"))
+    fast = QuantizedNetwork(net, allocation, RuntimeSpec(backend="fast"))
+    got = fast.forward(images)
+    assert got.tobytes() == want.forward(images).tobytes()
+    assert got.tobytes() == oracle_forward(fast, net, images).tobytes()

@@ -1,5 +1,8 @@
 """Run manifests: hash stability, field lifting, description."""
 
+import pytest
+
+from repro.telemetry import manifest as manifest_module
 from repro.telemetry import (
     RunManifest,
     build_manifest,
@@ -81,6 +84,16 @@ class TestBuildManifest:
         assert "\n" not in line
 
 
+@pytest.fixture
+def fresh_provenance():
+    """Empty the per-process git and version caches around a test."""
+    manifest_module._process_git_revision.cache_clear()
+    manifest_module._process_versions.cache_clear()
+    yield
+    manifest_module._process_git_revision.cache_clear()
+    manifest_module._process_versions.cache_clear()
+
+
 class TestGitRevision:
     def test_inside_repo_returns_sha(self):
         sha = git_revision()
@@ -109,7 +122,9 @@ class TestGitRevision:
         monkeypatch.setattr(subprocess, "run", failing)
         assert git_revision() is None
 
-    def test_manifest_survives_without_git(self, monkeypatch, tmp_path):
+    def test_manifest_survives_without_git(
+        self, monkeypatch, tmp_path, fresh_provenance
+    ):
         # A run outside any repo still produces a manifest; the sha is
         # simply absent from provenance.
         manifest = build_manifest({"model": "lenet"})
@@ -117,3 +132,35 @@ class TestGitRevision:
         without = build_manifest({"model": "lenet"})
         assert without.git_sha is None
         assert without.config_hash == manifest.config_hash
+
+
+class TestProvenanceCache:
+    def test_git_runs_once_per_directory(self, monkeypatch, fresh_provenance):
+        import subprocess
+
+        calls = []
+        real_run = subprocess.run
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("cwd"))
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counting)
+        first = build_manifest({"model": "lenet"})
+        second = build_manifest({"model": "nin"})
+        assert len(calls) == 1
+        assert first.git_sha == second.git_sha
+
+    def test_removed_working_directory_gives_no_sha(self, monkeypatch, tmp_path):
+        gone = tmp_path / "gone"
+        gone.mkdir()
+        monkeypatch.chdir(gone)
+        gone.rmdir()
+        assert build_manifest({"model": "lenet"}).git_sha is None
+
+    def test_versions_match_package_versions(self, fresh_provenance):
+        manifest = build_manifest({"a": 1}, include_git=False)
+        assert manifest.versions == package_versions()
+        # Each manifest owns its dict; the cache cannot be mutated.
+        manifest.versions["numpy"] = "edited"
+        assert build_manifest({"a": 1}, include_git=False).versions == package_versions()
