@@ -24,7 +24,22 @@ from ..data import Dataset
 from ..errors import ModelError
 from ..nn.graph import Network
 from ..nn.layers import Dense
-from .evaluate import top1_accuracy
+
+
+def _fittable_head(network: Network, num_classes: int) -> Dense:
+    """The output layer, checked to be a Dense head with one logit per class."""
+    head = network[network.output_name]
+    if not isinstance(head, Dense):
+        raise ModelError(
+            f"output layer {network.output_name!r} must be Dense to be fitted; "
+            f"got {type(head).__name__}"
+        )
+    if head.out_features != num_classes:
+        raise ModelError(
+            f"head produces {head.out_features} logits but dataset has "
+            f"{num_classes} classes"
+        )
+    return head
 
 
 def _collect_head_features(
@@ -42,33 +57,8 @@ def _collect_head_features(
     return np.concatenate(recorded, axis=0)
 
 
-def fit_classifier_head(
-    network: Network,
-    train: Dataset,
-    ridge: float = 1e-3,
-    batch_size: int = 64,
-) -> None:
-    """Fit the output Dense layer by one-vs-all ridge regression.
-
-    Replaces the head's weight and bias in place.  Targets are +/-1
-    one-vs-all scores, so the logits land on an O(1) scale — which makes
-    the paper's sigma_YL values (0.1 .. a few) directly meaningful, as
-    in Fig. 3 where accuracy falls off over sigma_YL in [0, ~4].
-    """
-    head = network[network.output_name]
-    if not isinstance(head, Dense):
-        raise ModelError(
-            f"output layer {network.output_name!r} must be Dense to be fitted; "
-            f"got {type(head).__name__}"
-        )
-    if head.out_features != train.num_classes:
-        raise ModelError(
-            f"head produces {head.out_features} logits but dataset has "
-            f"{train.num_classes} classes"
-        )
-    features = _collect_head_features(
-        network, head.name, train.images, batch_size
-    )
+def _fit_head(head: Dense, features: np.ndarray, train: Dataset, ridge: float) -> None:
+    """One-vs-all ridge fit of ``head`` on recorded head inputs."""
     count, dim = features.shape
     targets = -np.ones((count, train.num_classes))
     targets[np.arange(count), train.labels] = 1.0
@@ -83,6 +73,35 @@ def fit_classifier_head(
     head.bias = solution[dim].astype(np.float64)
 
 
+def _head_accuracy(
+    head: Dense, features: np.ndarray, labels: np.ndarray, batch_size: int
+) -> float:
+    """Top-1 accuracy of ``head`` on recorded inputs, in :func:`top1_accuracy`'s batches."""
+    predictions = [
+        np.argmax(head.forward([features[start : start + batch_size]]), axis=1)
+        for start in range(0, len(features), batch_size)
+    ]
+    return float(np.mean(np.concatenate(predictions) == labels))
+
+
+def fit_classifier_head(
+    network: Network,
+    train: Dataset,
+    ridge: float = 1e-3,
+    batch_size: int = 64,
+) -> None:
+    """Fit the output Dense layer by one-vs-all ridge regression.
+
+    Replaces the head's weight and bias in place.  Targets are +/-1
+    one-vs-all scores, so the logits land on an O(1) scale — which makes
+    the paper's sigma_YL values (0.1 .. a few) directly meaningful, as
+    in Fig. 3 where accuracy falls off over sigma_YL in [0, ~4].
+    """
+    head = _fittable_head(network, train.num_classes)
+    features = _collect_head_features(network, head.name, train.images, batch_size)
+    _fit_head(head, features, train, ridge)
+
+
 def pretrain(
     network: Network,
     train: Dataset,
@@ -90,9 +109,18 @@ def pretrain(
     ridge: float = 1e-3,
     batch_size: int = 64,
 ) -> Dict[str, float]:
-    """Fit the head and report train/test accuracy."""
-    fit_classifier_head(network, train, ridge=ridge, batch_size=batch_size)
+    """Fit the head and report train/test accuracy.
+
+    The fit changes only the head, so the trunk runs once per image: the
+    recorded head inputs feed the fit and both accuracies.  The head sees
+    the same ``batch_size``-row operands as in a full forward, so the
+    accuracies equal :func:`top1_accuracy` on the fitted network.
+    """
+    head = _fittable_head(network, train.num_classes)
+    train_features = _collect_head_features(network, head.name, train.images, batch_size)
+    test_features = _collect_head_features(network, head.name, test.images, batch_size)
+    _fit_head(head, train_features, train, ridge)
     return {
-        "train_accuracy": top1_accuracy(network, train, batch_size=batch_size),
-        "test_accuracy": top1_accuracy(network, test, batch_size=batch_size),
+        "train_accuracy": _head_accuracy(head, train_features, train.labels, batch_size),
+        "test_accuracy": _head_accuracy(head, test_features, test.labels, batch_size),
     }

@@ -11,7 +11,6 @@ from .graphutils import (
     downstream_layers,
     layer_depths,
     replay_cost_fraction,
-    to_networkx,
     validate_dag,
 )
 from .layer import Layer
@@ -69,7 +68,6 @@ __all__ = [
     "ordered_stats",
     "replay_cost_fraction",
     "static_stats",
-    "to_networkx",
     "total_inputs",
     "total_macs",
     "validate_dag",

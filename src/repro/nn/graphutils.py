@@ -1,52 +1,32 @@
-"""Graph analysis utilities built on networkx.
+"""Graph analysis utilities over a :class:`~repro.nn.graph.Network`.
 
-The :class:`~repro.nn.graph.Network` container stays dependency-light;
-these helpers project it into a :mod:`networkx` DiGraph for structural
-queries used in reporting and diagnostics: layer depth (how many
-analyzed layers an error crosses before reaching the output — the
+Structural queries used in reporting and diagnostics: layer depth (how
+many analyzed layers an error crosses before reaching the output — the
 quantity Fig. 2 organizes its lines by), downstream cost (what a
-partial replay from a layer costs), and DAG sanity checks.
+partial replay from a layer costs), and DAG sanity checks.  Each is one
+walk over ``Network.layers``, which is already in topological order.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
-import networkx as nx
-
 from ..errors import GraphError
 from .graph import INPUT, Network
 
 
-def to_networkx(network: Network) -> "nx.DiGraph":
-    """Project the network into a networkx DiGraph.
-
-    Nodes are layer names (plus the ``input`` source); node attributes
-    carry the layer kind, output shape, and whether it is analyzed.
-    """
-    graph = nx.DiGraph()
-    graph.add_node(INPUT, kind="input", shape=network.input_shape)
-    analyzed = set(network.analyzed_layer_names)
-    for layer in network.layers:
-        graph.add_node(
-            layer.name,
-            kind=type(layer).__name__,
-            shape=layer.output_shape,
-            analyzed=layer.name in analyzed,
-        )
-        for producer in layer.inputs:
-            graph.add_edge(producer, layer.name)
-    return graph
-
-
 def validate_dag(network: Network) -> None:
     """Raise if the network graph is not a DAG reaching its output."""
-    graph = to_networkx(network)
-    if not nx.is_directed_acyclic_graph(graph):
-        raise GraphError(f"network {network.name!r} contains a cycle")
+    seen = {INPUT}
+    reached = {INPUT}
+    for layer in network.layers:
+        if any(producer not in seen for producer in layer.inputs):
+            raise GraphError(f"network {network.name!r} contains a cycle")
+        seen.add(layer.name)
+        if any(producer in reached for producer in layer.inputs):
+            reached.add(layer.name)
     output = network.output_name
-    reachable = nx.ancestors(graph, output) | {output}
-    if INPUT not in reachable:
+    if output not in reached:
         raise GraphError(
             f"network {network.name!r}: output {output!r} is not reachable "
             "from the input"
@@ -55,26 +35,16 @@ def validate_dag(network: Network) -> None:
 
 def layer_depths(network: Network) -> Dict[str, int]:
     """Longest path (in layers) from the input to each layer."""
-    graph = to_networkx(network)
     depths: Dict[str, int] = {INPUT: 0}
-    for name in nx.topological_sort(graph):
-        if name == INPUT:
-            continue
-        depths[name] = 1 + max(
-            depths[p] for p in graph.predecessors(name)
-        )
+    for layer in network.layers:
+        depths[layer.name] = 1 + max(depths[p] for p in layer.inputs)
     return depths
 
 
 def downstream_layers(network: Network, start: str) -> List[str]:
     """Layers recomputed by a partial replay from ``start`` (inclusive)."""
-    if start not in network:
-        raise GraphError(f"unknown layer {start!r}")
-    graph = to_networkx(network)
-    descendants = nx.descendants(graph, start)
-    order = [layer.name for layer in network.layers]
-    members = {start} | descendants
-    return [name for name in order if name in members]
+    layers = network.layers
+    return [layers[i].name for i in network.replay_plan(start).layer_indices]
 
 
 def replay_cost_fraction(network: Network, start: str) -> float:

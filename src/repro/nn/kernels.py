@@ -304,10 +304,12 @@ def lrn(layer: "LRN", x: np.ndarray) -> np.ndarray:
     """Local response normalization with in-place cumulative sums."""
     half = layer.local_size // 2
     channels = x.shape[1]
-    # The running channel sum overwrites the squares it reads.
+    # The running channel sum overwrites the squares it reads, one
+    # contiguous plane per add (accumulate on axis 1 loops strided).
     cumulative = np.empty(x.shape)
     np.multiply(x, x, out=cumulative)
-    np.add.accumulate(cumulative, axis=1, out=cumulative)
+    for c in range(1, channels):
+        np.add(cumulative[:, c - 1], cumulative[:, c], out=cumulative[:, c])
     window = np.empty(x.shape)
     # upper[c] = cumulative[min(c + half, C-1)]: two slice copies beat
     # the equivalent fancy-indexed np.take.

@@ -23,7 +23,6 @@ Two consumers:
 from __future__ import annotations
 
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -460,6 +459,9 @@ class MetricsEndpoint:
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
+        # Imported here: only the /metrics endpoint needs the HTTP stack.
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         endpoint = self
 
         class Handler(BaseHTTPRequestHandler):

@@ -1,5 +1,7 @@
 """Tests for the model zoo, calibration, pretraining, and evaluation."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.models import (
     relative_drop,
     top1_accuracy,
 )
+from repro.nn import Network
 from repro.nn.layers import Conv2D, Dense
 
 
@@ -112,6 +115,62 @@ class TestPretrain:
         net = build_model("lenet", num_classes=source.num_classes + 1, seed=1)
         with pytest.raises(ModelError):
             fit_classifier_head(net, train)
+
+
+def _parameter_bytes(network):
+    return {
+        layer.name: [
+            getattr(layer, attr).tobytes()
+            for attr in ("weight", "bias")
+            if getattr(layer, attr, None) is not None
+        ]
+        for layer in network.layers
+    }
+
+
+class TestPretrainOnePass:
+    """``pretrain`` runs the trunk once per image and changes no number."""
+
+    @pytest.mark.parametrize("name", ["lenet"] + MODEL_NAMES)
+    def test_matches_fit_then_evaluate(self, name):
+        # 100 and 40 images: a short last batch on both splits.
+        source = SyntheticImageNet(num_classes=4, seed=5)
+        train, test = source.train_test(100, 40)
+        net = build_model(name, num_classes=4, seed=5)
+        lsuv_calibrate(net, train.images[:16])
+        reference = copy.deepcopy(net)
+
+        info = pretrain(net, train, test)
+        fit_classifier_head(reference, train)
+        expected = {
+            "train_accuracy": top1_accuracy(reference, train),
+            "test_accuracy": top1_accuracy(reference, test),
+        }
+        assert info == expected
+        assert _parameter_bytes(net) == _parameter_bytes(reference)
+
+    @pytest.mark.parametrize("counts", [(256, 128), (100, 40)])
+    def test_one_forward_per_batch(self, monkeypatch, counts):
+        train_count, test_count = counts
+        source = SyntheticImageNet(num_classes=4, seed=5)
+        train, test = source.train_test(train_count, test_count)
+        net = build_model("lenet", num_classes=4, seed=5)
+        calls = []
+        forward = Network.forward
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(Network, "forward", counting)
+        pretrain(net, train, test, batch_size=64)
+        assert len(calls) == -(-train_count // 64) + -(-test_count // 64)
+
+    def test_head_checks_apply(self, source, datasets):
+        train, test = datasets
+        net = build_model("lenet", num_classes=source.num_classes + 1, seed=1)
+        with pytest.raises(ModelError):
+            pretrain(net, train, test)
 
 
 class TestEvaluate:

@@ -1,4 +1,4 @@
-"""Tests for the networkx-based graph utilities."""
+"""Tests for the graph utilities."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.nn import (
     downstream_layers,
     layer_depths,
     replay_cost_fraction,
-    to_networkx,
     validate_dag,
 )
 from repro.nn.graph import INPUT
@@ -19,26 +18,16 @@ def resnet():
     return build_model("resnet50")
 
 
-class TestToNetworkx:
-    def test_node_count(self, lenet):
-        graph = to_networkx(lenet)
-        assert graph.number_of_nodes() == len(lenet) + 1  # + input
-
-    def test_edges_match_wiring(self, lenet):
-        graph = to_networkx(lenet)
-        assert graph.has_edge(INPUT, "conv1")
-        assert graph.has_edge("conv1", "conv1_relu")
-
-    def test_analyzed_attribute(self, lenet):
-        graph = to_networkx(lenet)
-        assert graph.nodes["conv1"]["analyzed"]
-        assert not graph.nodes["pool1"]["analyzed"]
-
-
 class TestValidateDag:
     def test_zoo_models_are_valid(self, lenet, resnet):
         validate_dag(lenet)
         validate_dag(resnet)
+
+    def test_cycle_rejected(self):
+        net = build_model("lenet")
+        net["conv1"].inputs = ["fc"]  # rewired behind the builder's back
+        with pytest.raises(GraphError, match="cycle"):
+            validate_dag(net)
 
 
 class TestLayerDepths:
