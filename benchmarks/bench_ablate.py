@@ -76,6 +76,7 @@ def bench_cache_sharing(
         runs: Dict[str, List[Dict[str, Any]]] = {}
         times: Dict[str, float] = {}
         counters: Dict[str, Dict[str, int]] = {}
+        restored: Dict[str, Dict[str, int]] = {}
         reports = {}
         for label, cfg in (
             ("cold", cached_config),
@@ -87,10 +88,12 @@ def bench_cache_sharing(
             runs[label] = campaign_rows(report)
             times[label] = seconds
             counters[label] = dict(report.cache_counters)
+            restored[label] = dict(report.restored_cache_counters)
             print(
                 f"  {label:<9} {seconds:8.3f}s  "
                 f"({counters[label].get('hits', 0)} hits, "
-                f"{counters[label].get('misses', 0)} misses)"
+                f"{counters[label].get('misses', 0)} misses; "
+                f"{restored[label].get('hits', 0)} restore hits)"
             )
         warm_speedup = times["cold"] / times["warm"]
         identical = runs["cold"] == runs["warm"] == runs["no_cache"]
@@ -105,8 +108,11 @@ def bench_cache_sharing(
             "seconds": times,
             "warm_speedup": warm_speedup,
             "cache_counters": counters,
+            "restored_cache_counters": restored,
             "bit_identical": identical,
-            "warm_hits": counters["warm"].get("hits", 0),
+            # Every warm cell is restored, so its hits are restore hits.
+            "warm_hits": counters["warm"].get("hits", 0)
+            + restored["warm"].get("hits", 0),
             "importance": [
                 entry.as_dict() for entry in reports["cold"].importance
             ],

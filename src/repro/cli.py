@@ -374,7 +374,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             run_dir=args.run_dir or None,
         )
     else:
-        report = run_sweep(spec, config=_config(args))
+        from .telemetry.session import Telemetry
+
+        config = _config(args)
+        session = Telemetry.create(config.telemetry_settings())
+        report = run_sweep(spec, config=config, telemetry=session)
+        path = session.export()
+        if path is not None:
+            print(f"trace written to {path}")
     for line in report.lines():
         print(line)
     if args.output:

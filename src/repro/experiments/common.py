@@ -23,6 +23,7 @@ from ..data import Dataset, SyntheticImageNet
 from ..models import pretrained_model
 from ..nn import Network
 from ..pipeline import PrecisionOptimizer
+from ..telemetry.session import Telemetry
 
 
 @dataclass(frozen=True)
@@ -123,15 +124,22 @@ _CONTEXT_CACHE: Dict[ExperimentConfig, ExperimentContext] = {}
 
 
 def make_context(
-    config: Optional[ExperimentConfig] = None, use_cache: bool = True
+    config: Optional[ExperimentConfig] = None,
+    use_cache: bool = True,
+    telemetry: Optional[Telemetry] = None,
 ) -> ExperimentContext:
     """Build (or fetch) the context for a configuration.
 
     Contexts are cached per exact configuration: several benchmarks
     share the same pretrained model and profiling run, mirroring the
     paper's "profile once, re-optimize cheaply" workflow.
+
+    ``telemetry`` is the session the optimizer records into (default: a
+    new one from ``config``'s settings).  A context built on a given
+    session is not cached: its spans belong to that session's run.
     """
     config = config or ExperimentConfig()
+    use_cache = use_cache and telemetry is None
     if use_cache and config in _CONTEXT_CACHE:
         return _CONTEXT_CACHE[config]
     source = SyntheticImageNet(num_classes=config.num_classes, seed=config.seed)
@@ -150,7 +158,9 @@ def make_context(
         scheme=config.scheme,
         strict=config.strict,
         parallel=config.parallel_settings(),
-        telemetry=config.telemetry_settings(),
+        telemetry=(
+            telemetry if telemetry is not None else config.telemetry_settings()
+        ),
         cache=config.resolved_cache_dir(),
     )
     context = ExperimentContext(

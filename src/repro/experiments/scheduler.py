@@ -313,25 +313,34 @@ class CellExecutor:
     ``failed`` row carrying a classified
     :class:`~repro.robustness.faults.FailureRecord`; ``config.strict``
     re-raises instead.  ``make`` builds the context of cells without a
-    factory of their own; ``compute`` replaces the optimizer call (the
-    distributed executor's synthetic benchmark cells use it).
+    factory of their own (default: :meth:`session_context`);
+    ``compute`` replaces the optimizer call (the distributed executor's
+    synthetic benchmark cells use it).
     """
 
     def __init__(
         self,
         config: ExperimentConfig,
         telemetry: Telemetry,
-        make: ContextFactory = make_context,
+        make: Optional[ContextFactory] = None,
         compute: Optional[Callable[[Cell], CellRow]] = None,
     ) -> None:
         self.config = config
         self.telemetry = telemetry
-        self.make = make
+        self.make = make or self.session_context
         self.compute = compute or self._optimize
         self._key: Any = None
         self._context: Optional[ExperimentContext] = None
         #: (optimizer, cache counts, restored count) before the cell.
         self._before: Optional[tuple] = None
+
+    def session_context(self, config: ExperimentConfig) -> ExperimentContext:
+        """:func:`make_context` on the executor's session while it
+        records, so one trace holds the run and its cells' pipelines;
+        the shared context cache otherwise."""
+        if self.telemetry.enabled:
+            return make_context(config, telemetry=self.telemetry)
+        return make_context(config)
 
     def _context_for(self, cell: Cell) -> ExperimentContext:
         factory = cell.context_factory or self.make

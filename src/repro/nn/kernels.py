@@ -56,8 +56,8 @@ that fits the budget is a single block.
 **Scratch.**  A :class:`KernelScratch` hands out one buffer per
 (layer, role) key, so a convolution's groups and blocks share their
 gather and GEMM buffers.  The quantized runtime passes one in the GEMM
-operand dtype so its code gather (:func:`fused_im2col`) casts while it
-copies.
+operand dtype, which its unpacked codes already have, for its code
+gather (:func:`fused_im2col`).
 
 ``tests/nn/reference_layers.py`` keeps the earlier per-sample layer
 implementations as the oracle these kernels are tested against, byte
@@ -93,12 +93,15 @@ def sample_blocks(layer: "Conv2D", n: int, itemsize: int) -> List[slice]:
 
     One sample's gathered columns of ``layer`` are ``(C*k*k, P)`` items
     of ``itemsize`` bytes (``C`` input channels per group, ``P`` output
-    positions); each block holds as many samples as fit
-    :data:`COLUMN_BUDGET_BYTES`, and at least one.  Only the last block
-    may be shorter.
+    positions); a depthwise layer (one input channel per group) gathers
+    the windows of all its groups at once.  Each block holds as many
+    samples as fit :data:`COLUMN_BUDGET_BYTES`, and at least one.  Only
+    the last block may be shorter.
     """
     _, out_h, out_w = layer.output_shape
     sample_bytes = layer.weight[0].size * out_h * out_w * itemsize
+    if layer.weight.shape[1] == 1:
+        sample_bytes *= layer.groups
     step = max(1, COLUMN_BUDGET_BYTES // max(sample_bytes, 1))
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
@@ -150,8 +153,7 @@ def fused_im2col(
     operand order as :func:`repro.nn.tensor.im2col`.  Unlike ``im2col``
     this makes exactly one copy: the strided gather lands directly in
     the target layout (padded inputs first get one interior copy into a
-    zeroed buffer).  Both copies write the scratch's dtype, so a cast,
-    e.g. int64 codes to float64 operands, costs no extra pass.
+    zeroed buffer).  Both copies write the scratch's dtype.
     """
     scratch = scratch or KernelScratch()
     if kernel == 1 and stride == 1 and padding == 0:

@@ -23,19 +23,30 @@ Bit-identity contract: the integer path is deterministic and exact, so
 results are bit-identical across backends (``reference``/``fast``) and
 across engine ``--jobs`` settings (which never touch this path).
 
-Conv layout: per block of samples and per group, the unpacked int64
-codes are gathered once, straight into the ``(C*k*k, b*P)`` GEMM
-operand in the plan's operand dtype (this module's ``im2col``,
+Activation path: ``quantize_to_codes`` leaves each analyzed layer's
+input codes as float64 integers; ``pack_codes`` packs them from narrow
+lanes, and ``unpack_codes`` writes them straight into the buffer the
+GEMM reads, in the plan's operand dtype: the interior of a zero-bordered
+operand for a padded convolution, an array of the input's shape
+otherwise.  No int64 copy of the codes sits in between.
+
+Conv layout: a 1x1 stride-1 convolution's operand already is each
+sample's ``(C, P)`` column matrix, so it runs one GEMM per sample and
+:func:`~repro.quant.runtime.kernels.requantize` scales the result into
+that sample's output.  Other convolutions gather, per block of samples
+and per group, the ``(C*k*k, b*P)`` GEMM operand from the padded
+operand with ``padding=0`` (this module's ``im2col``,
 :func:`repro.nn.kernels.fused_im2col`); the bias is added in place on
-the GEMM result and :func:`~repro.quant.runtime.kernels.requantize`
-scales it while copying it into the ``(N, C_out, P)`` output.  Blocks
-hold as many samples as fit the fp64 kernels' column budget
-(:func:`repro.nn.kernels.sample_blocks`); integer sums are exact in any
-order, so every blocking gives the same bytes for every geometry.
+the GEMM result and ``requantize`` scales it while copying it into the
+``(N, C_out, P)`` output.  Depthwise convolutions run their window
+einsum per block too.  Blocks hold as many samples as fit the fp64
+kernels' column budget (:func:`repro.nn.kernels.sample_blocks`);
+integer sums are exact in any order, so every split gives the same
+bytes for every geometry.
 
 Operand dtype: inside the fast backend's exactness envelope
-(:func:`~repro.quant.runtime.kernels.float64_exact`) the codes become
-float64 in that gather and stay float64 through the GEMM, the bias add
+(:func:`~repro.quant.runtime.kernels.float64_exact`) the codes are
+unpacked as float64 and stay float64 through the GEMM, the bias add
 and requantization.  Every value on that path is an integer below
 ``2**53``, so float64 carries it exactly and the results keep the same
 bits as the int64 path the ``reference`` backend runs.
@@ -44,7 +55,7 @@ bits as the int64 path the ``reference`` backend runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -155,21 +166,21 @@ def build_layer_plan(
         )
     w_fmt = _weight_format(weight, spec.weight_bits)
     if packed_weight is None:
-        w_codes = quantize_to_codes(weight, w_fmt)
         packed_weight = PackedTensor.from_codes(
-            w_codes, spec.weight_bits, w_fmt.fraction_bits
+            quantize_to_codes(weight, w_fmt),
+            spec.weight_bits,
+            w_fmt.fraction_bits,
         )
-    else:
-        if (
-            packed_weight.bits != spec.weight_bits
-            or packed_weight.fraction_bits != w_fmt.fraction_bits
-            or packed_weight.shape != tuple(weight.shape)
-        ):
-            raise QuantizationError(
-                f"cached packed weights for {layer.name!r} do not match "
-                "the expected format/shape"
-            )
-        w_codes = packed_weight.codes()
+    elif (
+        packed_weight.bits != spec.weight_bits
+        or packed_weight.fraction_bits != w_fmt.fraction_bits
+        or packed_weight.shape != tuple(weight.shape)
+    ):
+        raise QuantizationError(
+            f"cached packed weights for {layer.name!r} do not match "
+            "the expected format/shape"
+        )
+    w_codes = packed_weight.codes()
     shift = act_fmt.fraction_bits + w_fmt.fraction_bits
     bias = getattr(layer, "bias", None)
     bias_codes: Optional[np.ndarray] = None
@@ -197,6 +208,22 @@ def build_layer_plan(
         bound=bound,
         weight_operand=np.asarray(w_codes, dtype=dtype),
     )
+
+
+def _operand_buffer(
+    shape: Tuple[int, ...], dtype: np.dtype, pad: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A GEMM operand buffer and the view its codes go in.
+
+    With ``pad > 0`` the buffer is an NCHW batch with a zero border
+    ``pad`` wide and the view is its interior.
+    """
+    if not pad:
+        operand = np.empty(shape, dtype=dtype)
+        return operand, operand
+    n, c, h, w = shape
+    operand = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=dtype)
+    return operand, operand[:, :, pad : pad + h, pad : pad + w]
 
 
 class QuantizedNetwork:
@@ -307,32 +334,46 @@ class QuantizedNetwork:
             return layer.forward(arrays)
         return self._integer_forward(layer, plan, arrays[0])
 
-    def _quantize_input(
-        self, plan: QuantizedLayerPlan, x: np.ndarray
+    def _input_operand(
+        self, layer: Layer, plan: QuantizedLayerPlan, x: np.ndarray
     ) -> np.ndarray:
-        """Input codes for a layer, moved through the packed buffer."""
+        """The layer's input codes, in the GEMM operand dtype and layout.
+
+        A padded convolution gets a zero-bordered ``(N, C, H+2p, W+2p)``
+        buffer whose interior holds the codes, so its gathers run with
+        ``padding=0``; every other layer gets an array of ``x``'s shape.
+        With ``pack_activations`` the codes move through their packed
+        buffer and are unpacked straight into that operand; the float64
+        codes are dropped before it is allocated.
+        """
         fmt = plan.activation_format
-        codes = quantize_to_codes(x, fmt)
         bits = fmt.total_bits
+        codes = quantize_to_codes(x, fmt)
+        dtype = plan.weight_operand.dtype
+        pad = layer.padding if isinstance(layer, Conv2D) else 0
         if self.spec.pack_activations:
             packed = pack_codes(codes, bits)
             self._traffic_bits[plan.name] += int(packed.nbytes) * 8
-            codes = unpack_codes(packed, bits, codes.size).reshape(
-                codes.shape
-            )
-        else:
-            self._traffic_bits[plan.name] += codes.size * bits
-        return codes
+            shape = codes.shape
+            del codes
+            operand, interior = _operand_buffer(shape, dtype, pad)
+            unpack_codes(packed, bits, interior.size, out=interior)
+            return operand
+        self._traffic_bits[plan.name] += codes.size * bits
+        if not pad and dtype == codes.dtype:
+            return codes
+        operand, interior = _operand_buffer(codes.shape, dtype, pad)
+        np.copyto(interior, codes, casting="unsafe")
+        return operand
 
     def _integer_forward(
         self, layer: Layer, plan: QuantizedLayerPlan, x: np.ndarray
     ) -> np.ndarray:
-        codes = self._quantize_input(plan, x)
+        operand = self._input_operand(layer, plan, x)
         if isinstance(layer, Conv2D):
-            return self._int_conv(layer, plan, codes)
-        # integer_gemm casts the codes to the operand dtype.
+            return self._int_conv(layer, plan, operand)
         acc = integer_gemm(
-            flatten_spatial(codes),
+            flatten_spatial(operand),
             plan.weight_operand.T,
             self.spec.backend,
             plan.bound,
@@ -343,44 +384,64 @@ class QuantizedNetwork:
         return requantize(acc, plan.shift)
 
     def _int_conv(
-        self, layer: Conv2D, plan: QuantizedLayerPlan, codes: np.ndarray
+        self, layer: Conv2D, plan: QuantizedLayerPlan, operand: np.ndarray
     ) -> np.ndarray:
-        """One gather in and one scaled copy out per sample block and group.
+        """Integer convolution over an already padded operand.
 
-        The gather casts the int64 codes to the operand dtype while it
-        lays them out as the GEMM's ``(C*k*k, b*P)`` operand.  Blocks
-        follow :func:`repro.nn.kernels.sample_blocks`, so the columns
-        never outgrow the column budget.  Integer arithmetic is exact,
-        so any blocking gives the same bytes for every geometry: no
-        phase rule.
+        Depthwise layers run their einsum and 1x1 stride-1 layers one
+        GEMM per sample on its ``(C, P)`` slice, requantized into that
+        sample's output; the rest gather ``(C*k*k, b*P)`` columns once
+        per sample block and group and copy the scaled GEMM result out.
+        Depthwise and gathered layers run per block of
+        :func:`repro.nn.kernels.sample_blocks`, so their windows and
+        columns never outgrow the column budget.  Integer arithmetic is
+        exact, so every split gives the same bytes for every geometry:
+        no phase rule.
         """
-        n = codes.shape[0]
+        n = operand.shape[0]
         out_c, out_h, out_w = layer.output_shape
         positions = out_h * out_w
         w_codes = plan.weight_operand
-        if layer.groups == codes.shape[1] and w_codes.shape[1] == 1:
+        bias = plan.bias_codes
+        out = np.empty((n, out_c, out_h, out_w), dtype=np.float64)
+        out3 = out.reshape(n, out_c, positions)
+        if layer.groups == operand.shape[1] and w_codes.shape[1] == 1:
             # Depthwise: per-channel window dot products.  Every term
             # and partial sum is an exact integer in either dtype, so
             # einsum is its own fast path.
-            windows = extract_windows(
-                codes, layer.kernel, layer.stride, layer.padding
-            )
-            acc = np.einsum("nchwij,cij->nchw", windows, w_codes[:, 0, :, :])
-            if plan.bias_codes is not None:
-                acc += plan.bias_codes[None, :, None, None]
-            return requantize(acc, plan.shift)
+            for block in sample_blocks(layer, n, w_codes.itemsize):
+                windows = extract_windows(
+                    operand[block], layer.kernel, layer.stride, 0
+                )
+                acc = np.einsum("nchwij,cij->nchw", windows, w_codes[:, 0])
+                if bias is not None:
+                    acc += bias[None, :, None, None]
+                requantize(acc, plan.shift, out=out[block])
+            return out
+        if layer.kernel == 1 and layer.stride == 1 and layer.groups == 1:
+            # The operand already is each sample's column matrix.
+            w2d = w_codes.reshape(out_c, -1)
+            cols = operand.reshape(n, -1, positions)
+            for i in range(n):
+                acc = integer_gemm(
+                    w2d, cols[i], self.spec.backend, plan.bound,
+                    float_accumulator=True,
+                )
+                if bias is not None:
+                    acc += bias[:, None]
+                requantize(acc, plan.shift, out=out3[i])
+            return out
         per_group = out_c // layer.groups
         in_per_group = w_codes.shape[1]
         scratch = KernelScratch(w_codes.dtype)
-        out = np.empty((n, out_c, positions), dtype=np.float64)
         for block in sample_blocks(layer, n, w_codes.itemsize):
-            codes_b = codes[block]
+            operand_b = operand[block]
             for g in range(layer.groups):
                 cols = im2col(
-                    codes_b[:, g * in_per_group : (g + 1) * in_per_group],
+                    operand_b[:, g * in_per_group : (g + 1) * in_per_group],
                     layer.kernel,
                     layer.stride,
-                    layer.padding,
+                    0,
                     scratch,
                 )
                 out_slice = slice(g * per_group, (g + 1) * per_group)
@@ -391,16 +452,16 @@ class QuantizedNetwork:
                     plan.bound,
                     float_accumulator=True,
                 )
-                if plan.bias_codes is not None:
-                    acc += plan.bias_codes[out_slice, None]
+                if bias is not None:
+                    acc += bias[out_slice, None]
                 requantize(
-                    acc.reshape(per_group, codes_b.shape[0], positions).transpose(
+                    acc.reshape(per_group, operand_b.shape[0], positions).transpose(
                         1, 0, 2
                     ),
                     plan.shift,
-                    out=out[block, out_slice],
+                    out=out3[block, out_slice],
                 )
-        return out.reshape(n, out_c, out_h, out_w)
+        return out
 
     def dequantized_weight(self, name: str) -> np.ndarray:
         """The float64 values the packed weights represent (for tests)."""

@@ -103,7 +103,11 @@ class AblationReport:
     importance: List[ImportanceEntry] = field(default_factory=list)
     scenarios: List[ScenarioEntry] = field(default_factory=list)
     elapsed_seconds: float = 0.0
+    #: Persistent-cache traffic of the executed cells (campaign work).
     cache_counters: Dict[str, int] = field(default_factory=dict)
+    #: Persistent-cache traffic of the resumed rows: restoring their
+    #: outcomes, kept apart from the work in ``cache_counters``.
+    restored_cache_counters: Dict[str, int] = field(default_factory=dict)
     cache_dir: Optional[str] = None
     manifest: Dict[str, Any] = field(default_factory=dict)
     #: Cells actually executed this run (resumed rows excluded).
@@ -121,6 +125,7 @@ class AblationReport:
             "scenarios": [entry.as_dict() for entry in self.scenarios],
             "elapsed_seconds": self.elapsed_seconds,
             "cache_counters": dict(self.cache_counters),
+            "restored_cache_counters": dict(self.restored_cache_counters),
             "cache_dir": self.cache_dir,
             "manifest": dict(self.manifest),
             "executed_cell_ids": list(self.executed_cell_ids),
@@ -297,17 +302,19 @@ def build_report(
 ) -> AblationReport:
     """Score importance and verdicts from the executor's rows."""
     totals: Dict[str, int] = {}
+    restored: Dict[str, int] = {}
     for row in rows:
-        if row.resumed:
-            continue  # restoring an outcome is not campaign work
+        # Restoring an outcome is not campaign work: counted apart.
+        target = restored if row.resumed else totals
         for key, value in row.cache_counters.items():
-            totals[key] = totals.get(key, 0) + value
+            target[key] = target.get(key, 0) + value
     return AblationReport(
         rows=list(rows),
         importance=_importance_entries(rows),
         scenarios=_scenario_entries(rows),
         elapsed_seconds=elapsed_seconds,
         cache_counters=totals,
+        restored_cache_counters=restored,
         cache_dir=cache_dir,
         manifest=dict(manifest or {}),
         executed_cell_ids=[row.cell_id for row in rows if not row.resumed],

@@ -140,6 +140,12 @@ class TestSampleBlocks:
         layer = bound_conv(32, 3, 16, padding=1, groups=2)
         assert sample_blocks(layer, 10, 8)[0] == slice(0, 3)
 
+    def test_depthwise_counts_every_channel(self):
+        # A depthwise layer's windows cover all 16 channels at once:
+        # 16 * 9 * 256 float64 items per sample, as the dense conv above.
+        layer = bound_conv(16, 3, 16, padding=1, groups=16)
+        assert sample_blocks(layer, 10, 8)[0] == slice(0, 3)
+
     def test_small_batch_is_one_block(self):
         assert sample_blocks(bound_conv(1, 1, 4), 5, 8) == [slice(0, 5)]
 

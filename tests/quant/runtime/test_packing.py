@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import QuantizationError
-from repro.quant import FixedPointFormat
+from repro.models import build_model
+from repro.nn.statistics import measure_ranges, ordered_stats
+from repro.quant import BitwidthAllocation, FixedPointFormat
 from repro.quant.runtime import (
     MAX_PACK_BITS,
     PackedTensor,
+    QuantizedNetwork,
     code_bounds,
     codes_to_values,
     pack_codes,
@@ -192,6 +195,49 @@ class TestAgainstBitMatrixOracle:
             assert packed.tobytes() == oracle_pack(codes, bits).tobytes()
             np.testing.assert_array_equal(unpack_codes(packed, bits, count), codes)
 
+    @settings(max_examples=200, deadline=None)
+    @given(case=code_arrays())
+    def test_float64_codes_pack_like_integers(self, case):
+        """quantize_to_codes returns float64 integers: they pack to the
+        oracle's bytes exactly as int64 codes do."""
+        bits, codes = case
+        packed = pack_codes(codes.astype(np.float64), bits)
+        assert packed.tobytes() == oracle_pack(codes, bits).tobytes()
+
+    @pytest.mark.parametrize("bits", range(1, MAX_PACK_BITS + 1))
+    def test_unpack_into_every_destination(self, bits):
+        """``out=`` receives the codes in any dtype and strides: a
+        contiguous int64 or float64 array, the interior of a
+        zero-bordered float64 operand (whose border stays zero) and a
+        non-contiguous ``(n, C, P)`` float64 view.  Counts 3 and 210 are
+        not multiples of the 8-code group."""
+        lo, hi = code_bounds(bits)
+        rng = np.random.default_rng(100 + bits)
+        for n, c, h, w in ((1, 1, 1, 3), (2, 3, 5, 7), (3, 2, 4, 4)):
+            count = n * c * h * w
+            codes = rng.integers(lo, hi + 1, size=count, dtype=np.int64)
+            codes[0], codes[-1] = lo, hi
+            stream = oracle_pack(codes, bits)
+            want = codes.astype(np.float64)
+            for dtype in (np.int64, np.float64):
+                out = np.full(count, 99, dtype=dtype)
+                assert unpack_codes(stream, bits, count, out=out) is out
+                assert out.tobytes() == codes.astype(dtype).tobytes()
+            padded = np.zeros((n, c, h + 4, w + 4))
+            interior = padded[:, :, 2 : 2 + h, 2 : 2 + w]
+            unpack_codes(stream, bits, count, out=interior)
+            assert interior.tobytes() == want.tobytes()
+            interior[...] = 0.0
+            assert padded.tobytes() == bytes(padded.nbytes)
+            view = np.full((c, n, h * w), 99.0).transpose(1, 0, 2)
+            unpack_codes(stream, bits, count, out=view)
+            assert np.ascontiguousarray(view).tobytes() == want.tobytes()
+
+    def test_unpack_rejects_a_target_of_the_wrong_size(self):
+        packed = pack_codes(np.arange(-4, 4), 4)
+        with pytest.raises(QuantizationError):
+            unpack_codes(packed, 4, 8, out=np.empty(7))
+
     def test_unpack_leaves_the_stream_untouched(self):
         codes = np.arange(-8, 8, dtype=np.int64)
         packed = pack_codes(codes, 5)
@@ -215,3 +261,27 @@ class TestPackedTensor:
         codes = np.zeros(100, dtype=np.int64)
         tensor = PackedTensor.from_codes(codes, 5, 2)
         assert tensor.nbytes == (100 * 5 + 7) // 8  # 63 bytes, not 800
+
+
+class TestNonFinite:
+    """NaN and infinite codes cannot be packed, so a NaN activation
+    stops a packed quantized forward instead of running on garbage."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bits", [1, 8, 12, 16, 25, 26, 32])
+    def test_pack_rejects_non_finite_codes(self, bits, bad):
+        codes = np.zeros(9)
+        codes[4] = bad
+        with pytest.raises(QuantizationError):
+            pack_codes(codes, bits)
+
+    def test_nan_activation_raises_in_forward(self):
+        net = build_model("lenet")
+        images = np.random.default_rng(0).normal(
+            scale=50.0, size=(3,) + net.input_shape
+        )
+        stats = measure_ranges(net, images)
+        allocation = BitwidthAllocation.uniform(ordered_stats(net, stats), 8)
+        images[1, 0, 3, 3] = np.nan
+        with pytest.raises(QuantizationError):
+            QuantizedNetwork(net, allocation).forward(images)

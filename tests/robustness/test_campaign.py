@@ -183,6 +183,10 @@ class TestResume:
         again = run_ablation_campaign(SPEC, config=cached_config)
         assert again.executed_cell_ids == []
         assert all(r.resumed for r in again.rows)
+        # A fully restored (warm) campaign did no work, but its
+        # restores read the cache: they are reported apart.
+        assert again.cache_counters.get("hits", 0) == 0
+        assert again.restored_cache_counters.get("hits", 0) > 0
         clean = {r.cell_id: _comparable(r) for r in clean_report.rows}
         assert {r.cell_id: _comparable(r) for r in again.rows} == clean
 

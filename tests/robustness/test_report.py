@@ -190,6 +190,8 @@ class TestReportShape:
         resumed.resumed = True
         report = build_report([executed, resumed], elapsed_seconds=1.0)
         assert report.cache_counters == {"hits": 3}
+        assert report.restored_cache_counters == {"hits": 7}
+        assert report.as_dict()["restored_cache_counters"] == {"hits": 7}
         assert report.executed_cell_ids == [executed.cell_id]
 
     def test_lines_mention_failures_and_counts(self):

@@ -279,3 +279,39 @@ class TestCliTraceSmoke:
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"schema": 1, "type": "bogus"}\n')
         assert main(["trace", "validate", str(bad)]) == 1
+
+
+class TestSweepTrace:
+    """``repro sweep --trace-out`` exports the executor's session, which
+    the cells' optimizers record into."""
+
+    def test_one_cell_sweep_trace_nests_the_pipeline(self, tmp_path, capsys):
+        path = tmp_path / "sweep.jsonl"
+        code = main(
+            [
+                "sweep",
+                *TestCliTraceSmoke.FAST,
+                "--drops",
+                "0.05",
+                "--objectives",
+                "input",
+                "--trace-out",
+                str(path),
+            ]
+        )
+        assert code == 0
+        assert f"trace written to {path}" in capsys.readouterr().out
+        assert main(["trace", "validate", str(path)]) == 0
+        spans = {
+            e["span_id"]: e for e in read_events(path) if e["type"] == "span"
+        }
+
+        def parent_name(span):
+            return spans[span["parent_id"]]["name"]
+
+        optimize = [s for s in spans.values() if s["name"] == "pipeline.optimize"]
+        assert len(optimize) == 1
+        assert parent_name(optimize[0]) == "sweep.cell"
+        cell = spans[optimize[0]["parent_id"]]
+        assert parent_name(cell) == "sweep.run"
+        assert spans[cell["parent_id"]]["parent_id"] is None
